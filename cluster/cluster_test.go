@@ -372,6 +372,66 @@ func TestFleetStatsFromWatch(t *testing.T) {
 	}
 }
 
+// rollup is the part of lia.Stats both component hosts compute with the
+// shared roll-up, and so must agree on.
+type rollup struct {
+	Snapshots, StateEpoch, EpochLag int
+	Rebuilds, ElimReuses            uint64
+	Components                      int
+	Degraded                        bool
+	DegradedComponents              int
+}
+
+func rollupOf(s lia.Stats) rollup {
+	return rollup{s.Snapshots, s.StateEpoch, s.EpochLag, s.Rebuilds, s.ElimReuses,
+		s.Components, s.Degraded, s.DegradedComponents}
+}
+
+// TestFleetStatsMatchShardedEngine feeds a healthy fleet and an in-process
+// ShardedEngine with the same options the same snapshots, and checks that
+// once the fleet's watch-fed stats settle after one Steady on each, both
+// hosts roll their components' stats up to the same values.
+func TestFleetStatsMatchShardedEngine(t *testing.T) {
+	ctx := context.Background()
+	rm, snaps := workload(t)
+	tc := startCluster(t, rm, []string{"a", "b"})
+	sharded, err := lia.NewShardedEngine(rm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round, batch := range [][][]float64{snaps, synthSnapshots(rm, 20, 11)} {
+		if err := tc.fleet.IngestBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		if err := sharded.IngestBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		tc.sync(t)
+		if _, err := tc.fleet.Steady(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sharded.Steady(ctx); err != nil {
+			t.Fatal(err)
+		}
+		want := rollupOf(sharded.Stats())
+		if want.StateEpoch != want.Snapshots || want.Degraded {
+			t.Fatalf("round %d: sharded engine not settled: %+v", round, want)
+		}
+		t.Logf("round %d: %+v", round, want)
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			got := rollupOf(tc.fleet.Stats())
+			if got == want {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: fleet stats %+v, sharded engine %+v", round, got, want)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+}
+
 // TestFleetNodeDeathAndRejoin exercises the degradation contract end to
 // end: killing one node marks only its components' links Unresolved (the
 // healthy node's estimates stay bitwise identical), and a restarted node

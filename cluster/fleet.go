@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"lia"
+	"lia/internal/core"
 )
 
 // FleetConfig configures a coordinator-side Fleet.
@@ -39,11 +40,10 @@ type FleetConfig struct {
 }
 
 // fleetComponent is one link-connected component as the coordinator sees
-// it: the scatter/gather index maps plus the wire-ready path documents the
-// owning node rebuilds its engine from.
+// it: the scatter index map plus the wire-ready path documents the owning
+// node rebuilds its engine from.
 type fleetComponent struct {
 	paths []int     // global path (row) indices, ascending
-	links []int     // local virtual link -> global virtual link
 	docs  []PathDoc // the component's paths, global row order preserved
 }
 
@@ -67,8 +67,11 @@ type nodeClient struct {
 	sctx    context.Context  // cancelled when this incarnation ends
 	scancel context.CancelFunc
 
-	sent       atomic.Int64 // snapshots enqueued for this node
-	missed     atomic.Int64 // snapshots dropped (queue full or stream broken)
+	// base is the folded-snapshot count the incarnation's first ingest probe
+	// saw (-1 until then) — what a restarted node restored from disk.
+	base       atomic.Int64
+	sent       atomic.Int64 // snapshots enqueued for this incarnation
+	missed     atomic.Int64 // of those, dropped (queue full or stream broken)
 	ingestLive atomic.Bool
 	watchLive  atomic.Bool
 	lastEvent  atomic.Pointer[NodeEvent]
@@ -89,7 +92,9 @@ func (nc *nodeClient) stream() (context.Context, chan [][]float64) {
 }
 
 // reincarnate ends the node's current incarnation (severing its streams)
-// and starts a fresh one. Callers must hold f.mu so no scatter races the
+// and starts a fresh one: a (re-)registered node's learning state and
+// folded-snapshot count begin again, so the delivery accounting and the
+// stream liveness do too. Callers must hold f.mu so no scatter races the
 // channel swap; nc.mu is taken for readers that hold neither lock.
 func (nc *nodeClient) reincarnate(parent context.Context, buffer int) {
 	nc.mu.Lock()
@@ -99,6 +104,22 @@ func (nc *nodeClient) reincarnate(parent context.Context, buffer int) {
 	}
 	nc.sctx, nc.scancel = context.WithCancel(parent)
 	nc.batches = make(chan [][]float64, buffer)
+	nc.base.Store(-1)
+	nc.sent.Store(0)
+	nc.missed.Store(0)
+	nc.ingestLive.Store(false)
+	nc.watchLive.Store(false)
+}
+
+// probed records the folded-snapshot count an ingest probe of incarnation
+// sctx saw, once per incarnation: a later reconnect's count already
+// includes batches this incarnation delivered.
+func (nc *nodeClient) probed(sctx context.Context, snapshots int) {
+	nc.mu.Lock()
+	defer nc.mu.Unlock()
+	if nc.sctx == sctx {
+		nc.base.CompareAndSwap(-1, int64(snapshots))
+	}
 }
 
 func (nc *nodeClient) assigned() (comps []int, paths []int) {
@@ -133,6 +154,7 @@ type Fleet struct {
 	rm    *lia.RoutingMatrix
 	part  *lia.Partition
 	comps []fleetComponent
+	links [][]int // per component: local virtual link -> global virtual link
 	cfg   FleetConfig
 
 	ctx    context.Context
@@ -185,6 +207,7 @@ func NewFleet(rm *lia.RoutingMatrix, cfg FleetConfig) (*Fleet, error) {
 		rm:     rm,
 		part:   part,
 		comps:  make([]fleetComponent, part.NumComponents()),
+		links:  make([][]int, part.NumComponents()),
 		cfg:    cfg,
 		nodes:  make(map[string]*nodeClient),
 		owners: make([]*nodeClient, part.NumComponents()),
@@ -199,7 +222,8 @@ func NewFleet(rm *lia.RoutingMatrix, cfg FleetConfig) (*Fleet, error) {
 				p := rm.Path(pg)
 				docs[i] = PathDoc{Beacon: p.Beacon, Dst: p.Dst, Links: p.Links}
 			}
-			f.comps[c] = fleetComponent{paths: comp.Paths, links: links, docs: docs}
+			f.comps[c] = fleetComponent{paths: comp.Paths, docs: docs}
+			f.links[c] = links
 		}
 	}
 	f.ctx, f.cancel = context.WithCancel(context.Background())
@@ -251,14 +275,10 @@ func (f *Fleet) handleRegister(w http.ResponseWriter, r *http.Request) {
 	nc.url = req.URL
 	nc.mu.Unlock()
 	if known {
-		// A re-registration is a restarted node: its learning state and its
-		// folded-snapshot count begin again, so the delivery accounting does
-		// too. Batches queued at — or streams opened against — its previous
-		// life are abandoned with that incarnation (f.mu is held, so no
-		// producer races the swap).
+		// A re-registration is a restarted node. Batches queued at — or
+		// streams opened against — its previous life are abandoned with that
+		// incarnation (f.mu is held, so no producer races the swap).
 		nc.reincarnate(f.ctx, f.cfg.IngestBuffer)
-		nc.sent.Store(0)
-		nc.missed.Store(0)
 	}
 	complete := len(f.nodes) == f.cfg.Size
 	place := complete && !f.placed
@@ -316,10 +336,10 @@ func (f *Fleet) place() {
 			f.owners[c] = nc
 		}
 		f.wg.Add(1)
-		go f.superviseWatch(nc)
+		go f.supervise(nc, "watch", "events", &nc.watchLive, f.watchOnce)
 		if len(paths) > 0 {
 			f.wg.Add(1)
-			go f.superviseIngest(nc)
+			go f.supervise(nc, "ingest", "snapshots", &nc.ingestLive, f.ingestOnce)
 		}
 		f.cfg.Logf("cluster: placed components %v on node %s (%d paths)", comps, id, len(paths))
 	}
@@ -333,7 +353,7 @@ func (f *Fleet) assignRequest(nc *nodeClient) AssignRequest {
 	for _, c := range comps {
 		req.Components = append(req.Components, ComponentAssignment{
 			Component: c,
-			Links:     f.comps[c].links,
+			Links:     f.links[c],
 			Paths:     f.comps[c].docs,
 		})
 	}
@@ -370,35 +390,34 @@ func (f *Fleet) pushAssignment(nc *nodeClient) {
 			return
 		case <-time.After(backoff):
 		}
-		if backoff *= 2; backoff > f.cfg.ReconnectMax {
-			backoff = f.cfg.ReconnectMax
-		}
+		backoff = min(backoff*2, f.cfg.ReconnectMax)
 	}
 }
 
-// superviseWatch tails the node's epoch push stream, caching the latest
-// NodeEvent for Stats and reconnecting with backoff when it drops.
-func (f *Fleet) superviseWatch(nc *nodeClient) {
+// supervise keeps one of the node's streams up: once runs one connection
+// until it breaks and reports how many records it carried; supervise marks
+// the stream dead and reconnects with backoff until the fleet closes. The
+// watch stream caches the latest NodeEvent for Stats; the ingest stream
+// delivers the node's scattered batches.
+func (f *Fleet) supervise(nc *nodeClient, stream, unit string, live *atomic.Bool, once func(*nodeClient) (int, error)) {
 	defer f.wg.Done()
 	backoff := f.cfg.ReconnectMin
 	for {
-		events, err := f.watchOnce(nc)
-		nc.watchLive.Store(false)
+		n, err := once(nc)
+		live.Store(false)
 		if f.ctx.Err() != nil {
 			return
 		}
-		if events > 0 {
+		if n > 0 {
 			backoff = f.cfg.ReconnectMin
 		}
-		f.cfg.Logf("cluster: node %s watch stream ended after %d events: %v (reconnect in %v)", nc.id, events, err, backoff)
+		f.cfg.Logf("cluster: node %s %s stream ended after %d %s: %v (reconnect in %v)", nc.id, stream, n, unit, err, backoff)
 		select {
 		case <-f.ctx.Done():
 			return
 		case <-time.After(backoff):
 		}
-		if backoff *= 2; backoff > f.cfg.ReconnectMax {
-			backoff = f.cfg.ReconnectMax
-		}
+		backoff = min(backoff*2, f.cfg.ReconnectMax)
 	}
 }
 
@@ -429,38 +448,12 @@ func (f *Fleet) watchOnce(nc *nodeClient) (events int, err error) {
 	}
 }
 
-// superviseIngest keeps one persistent streaming-ingest connection open to
-// the node, writing queued batches as NDJSON lines and reconnecting with
-// backoff when the stream breaks. Batches that hit a broken stream are
+// ingestOnce runs one streaming-ingest connection until it breaks or the
+// fleet closes, returning how many snapshots it delivered: queued batches
+// are written as NDJSON lines, and batches that hit a broken stream are
 // dropped and counted missed — the node's components degrade while it is
 // down and recover as fresh snapshots arrive after it returns, exactly the
 // per-component degradation contract.
-func (f *Fleet) superviseIngest(nc *nodeClient) {
-	defer f.wg.Done()
-	backoff := f.cfg.ReconnectMin
-	for {
-		wrote, err := f.ingestOnce(nc)
-		nc.ingestLive.Store(false)
-		if f.ctx.Err() != nil {
-			return
-		}
-		if wrote > 0 {
-			backoff = f.cfg.ReconnectMin
-		}
-		f.cfg.Logf("cluster: node %s ingest stream ended after %d snapshots: %v (reconnect in %v)", nc.id, wrote, err, backoff)
-		select {
-		case <-f.ctx.Done():
-			return
-		case <-time.After(backoff):
-		}
-		if backoff *= 2; backoff > f.cfg.ReconnectMax {
-			backoff = f.cfg.ReconnectMax
-		}
-	}
-}
-
-// ingestOnce runs one streaming-ingest connection until it breaks or the
-// fleet closes, returning how many snapshots it delivered.
 //
 // Before consuming any batch it probes the node's stats endpoint and
 // requires the node to report this fleet's assignment generation. An HTTP
@@ -483,6 +476,7 @@ func (f *Fleet) ingestOnce(nc *nodeClient) (wrote int, err error) {
 	if ev.Assignment != gen {
 		return 0, fmt.Errorf("node reports assignment %d, fleet runs %d", ev.Assignment, gen)
 	}
+	nc.probed(sctx, ev.Snapshots)
 	pr, pw := io.Pipe()
 	url := fmt.Sprintf("%s/cluster/v1/ingest?assignment=%d", nc.baseURL(), gen)
 	req, err := http.NewRequestWithContext(sctx, http.MethodPost, url, pr)
@@ -658,15 +652,15 @@ func (f *Fleet) placedNodes() ([]*nodeClient, error) {
 }
 
 // gather fans one query out to every owning node concurrently and collects
-// per-component results and errors in component-index order. query returns
-// the node's GatherResponse; a whole-node failure charges every component
-// the node owns.
-func (f *Fleet) gather(ctx context.Context, query func(ctx context.Context, nc *nodeClient) (*GatherResponse, error)) ([]*ComponentResult, []error, error) {
+// per-component answers (converted from the wire) and errors in
+// component-index order for core.MergeResults. query returns the node's
+// GatherResponse; a whole-node failure charges every component it owns.
+func (f *Fleet) gather(ctx context.Context, query func(ctx context.Context, nc *nodeClient) (*GatherResponse, error)) ([]*lia.Result, []error, error) {
 	nodes, err := f.placedNodes()
 	if err != nil {
 		return nil, nil, err
 	}
-	results := make([]*ComponentResult, len(f.comps))
+	results := make([]*lia.Result, len(f.comps))
 	errs := make([]error, len(f.comps))
 	var wg sync.WaitGroup
 	for _, nc := range nodes {
@@ -692,7 +686,8 @@ func (f *Fleet) gather(ctx context.Context, query func(ctx context.Context, nc *
 					errs[cr.Component] = fmt.Errorf("node %s component %d: %w", nc.id, cr.Component, decodeError(cr.Error, cr.ErrorCode))
 					continue
 				}
-				results[cr.Component] = cr
+				results[cr.Component] = &lia.Result{Epoch: cr.Epoch, LossRates: cr.LossRates, LogRates: cr.LogRates,
+					Variances: cr.Variances, Kept: cr.Kept, Removed: cr.Removed}
 			}
 			for _, c := range comps {
 				if !seen[c] {
@@ -702,39 +697,7 @@ func (f *Fleet) gather(ctx context.Context, query func(ctx context.Context, nc *
 		}(nc)
 	}
 	wg.Wait()
-	if err := gatherErr(ctx, errs); err != nil {
-		return nil, nil, err
-	}
 	return results, errs, nil
-}
-
-// gatherErr mirrors lia's sharded gather semantics: caller cancellation
-// always propagates, a gather where every component failed surfaces the
-// joined error (preserving cold-start sentinels — warm-up is synchronized,
-// all components fail together), any other mix degrades only the failing
-// components.
-func gatherErr(ctx context.Context, errs []error) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	for _, err := range errs {
-		if err == nil {
-			return nil
-		}
-	}
-	return errors.Join(errs...)
-}
-
-// globalEpoch reduces healthy per-component epochs to the gathered view's
-// epoch: the minimum (oldest state any component served).
-func globalEpoch(epochs []int) int {
-	min := epochs[0]
-	for _, e := range epochs[1:] {
-		if e < min {
-			min = e
-		}
-	}
-	return min
 }
 
 // inferNode posts one node its projection of the observation vector.
@@ -767,52 +730,21 @@ func (f *Fleet) steadyNode(ctx context.Context, nc *nodeClient) (*GatherResponse
 
 // Infer runs Phase 2 on one global observation vector: each owning node
 // solves its components' reduced systems, and the per-link results gather
-// back into global link order, bitwise-identical to a single-process
-// engine over the same snapshots. A failing component (or dead node)
-// degrades only its own links — zeroed, in neither Kept nor Removed, and
-// listed in Result.Unresolved; only a gather in which every component
-// fails returns an error.
+// back into global link order with the sharded engine's merge
+// (core.MergeResults), bitwise-identical to a single-process engine over
+// the same snapshots. A failing component (or dead node) marks only its own
+// links Unresolved.
 func (f *Fleet) Infer(ctx context.Context, y []float64) (*lia.Result, error) {
 	if err := f.checkDim(y); err != nil {
 		return nil, err
 	}
-	results, errs, err := f.gather(ctx, func(ctx context.Context, nc *nodeClient) (*GatherResponse, error) {
+	parts, errs, err := f.gather(ctx, func(ctx context.Context, nc *nodeClient) (*GatherResponse, error) {
 		return f.inferNode(ctx, nc, y)
 	})
 	if err != nil {
 		return nil, err
 	}
-	nc := f.rm.NumLinks()
-	out := &lia.Result{
-		LossRates: make([]float64, nc),
-		LogRates:  make([]float64, nc),
-		Variances: make([]float64, nc),
-	}
-	var epochs []int
-	for c, cr := range results {
-		links := f.comps[c].links
-		if errs[c] != nil {
-			out.Unresolved = append(out.Unresolved, links...)
-			continue
-		}
-		for kl, kg := range links {
-			out.LossRates[kg] = cr.LossRates[kl]
-			out.LogRates[kg] = cr.LogRates[kl]
-			out.Variances[kg] = cr.Variances[kl]
-		}
-		for _, kl := range cr.Kept {
-			out.Kept = append(out.Kept, links[kl])
-		}
-		for _, kl := range cr.Removed {
-			out.Removed = append(out.Removed, links[kl])
-		}
-		epochs = append(epochs, cr.Epoch)
-	}
-	sort.Ints(out.Kept)
-	sort.Ints(out.Removed)
-	sort.Ints(out.Unresolved)
-	out.Epoch = globalEpoch(epochs)
-	return out, nil
+	return core.MergeResults(ctx, f.rm.NumLinks(), f.links, parts, errs)
 }
 
 // InferCongested runs Infer and classifies every virtual link against the
@@ -826,37 +758,14 @@ func (f *Fleet) InferCongested(ctx context.Context, y []float64) ([]bool, *lia.R
 }
 
 // Steady returns the steady-state learning view gathered across the fleet
-// in global link order, with the sharded degradation contract (failed
-// components' links in Unresolved).
+// in global link order with the sharded engine's merge (core.MergeSteady):
+// failed components' links in Unresolved.
 func (f *Fleet) Steady(ctx context.Context) (*lia.SteadyState, error) {
-	results, errs, err := f.gather(ctx, f.steadyNode)
+	parts, errs, err := f.gather(ctx, f.steadyNode)
 	if err != nil {
 		return nil, err
 	}
-	out := &lia.SteadyState{Variances: make([]float64, f.rm.NumLinks())}
-	var epochs []int
-	for c, cr := range results {
-		links := f.comps[c].links
-		if errs[c] != nil {
-			out.Unresolved = append(out.Unresolved, links...)
-			continue
-		}
-		for kl, v := range cr.Variances {
-			out.Variances[links[kl]] = v
-		}
-		for _, kl := range cr.Kept {
-			out.Kept = append(out.Kept, links[kl])
-		}
-		for _, kl := range cr.Removed {
-			out.Removed = append(out.Removed, links[kl])
-		}
-		epochs = append(epochs, cr.Epoch)
-	}
-	sort.Ints(out.Kept)
-	sort.Ints(out.Removed)
-	sort.Ints(out.Unresolved)
-	out.Epoch = globalEpoch(epochs)
-	return out, nil
+	return core.MergeSteady(ctx, f.rm.NumLinks(), f.links, parts, errs)
 }
 
 // Variances returns the Phase-1 per-link variance estimates in global link
@@ -914,7 +823,7 @@ func (f *Fleet) ComponentStats() []lia.Stats {
 		out[c] = lia.Stats{
 			Snapshots:       cs.Snapshots,
 			StateEpoch:      cs.StateEpoch,
-			EpochLag:        cs.Snapshots - cs.StateEpoch,
+			EpochLag:        core.EpochLag(cs.Snapshots, cs.StateEpoch),
 			Rebuilds:        cs.Rebuilds,
 			ElimReuses:      cs.ElimReuses,
 			RebuildFailures: cs.RebuildFailures,
@@ -923,9 +832,6 @@ func (f *Fleet) ComponentStats() []lia.Stats {
 			Degraded:        cs.Degraded || !live,
 			LastError:       cs.LastError,
 		}
-		if cs.StateEpoch < 0 {
-			out[c].EpochLag = cs.Snapshots
-		}
 		if !live && out[c].LastError == "" {
 			out[c].LastError = fmt.Sprintf("node %s unreachable", nc.id)
 		}
@@ -933,13 +839,13 @@ func (f *Fleet) ComponentStats() []lia.Stats {
 	return out
 }
 
-// Stats aggregates the fleet's observability counters in the sharded
-// engine's shape: Components is the partition size, Shards the number of
-// nodes carrying components, and the degradation surface counts components
-// that are failing or whose owner is unreachable.
+// Stats rolls ComponentStats up with the sharded engine's roll-up
+// (core.RollUp); unplaced components and unreachable owners count as
+// degraded. The fleet's own fields: Shards is the number of nodes carrying
+// components, DirtyComponents counts healthy components whose served state
+// trails their snapshots, and LastError is the first degraded one's error.
 func (f *Fleet) Stats() lia.Stats {
 	f.mu.Lock()
-	placed := f.placed
 	shards := 0
 	for _, nc := range f.nodes {
 		if len(nc.comps) > 0 {
@@ -947,47 +853,21 @@ func (f *Fleet) Stats() lia.Stats {
 		}
 	}
 	f.mu.Unlock()
-	s := lia.Stats{
+	comps := f.ComponentStats()
+	s := core.RollUp(lia.Stats{
 		Snapshots:  f.Snapshots(),
-		StateEpoch: -1,
 		Shards:     shards,
 		Components: len(f.comps),
 		Window:     f.cfg.Options.Window,
 		Decay:      f.cfg.Options.Decay,
-	}
-	if !placed {
-		s.EpochLag = s.Snapshots
-		s.Degraded = true
-		s.DegradedComponents = len(f.comps)
-		return s
-	}
-	oldest := -1
-	for c, cs := range f.ComponentStats() {
-		s.Rebuilds += cs.Rebuilds
-		s.ElimReuses += cs.ElimReuses
-		s.RebuildFailures += cs.RebuildFailures
-		s.DeltaRebuilds += cs.DeltaRebuilds
+	}, comps)
+	for _, cs := range comps {
 		if cs.EpochLag > 0 && !cs.Degraded {
 			s.DirtyComponents++
 		}
-		if cs.Degraded {
-			s.DegradedComponents++
-			if cs.LastError != "" && s.LastError == "" {
-				s.LastError = cs.LastError
-			}
+		if cs.Degraded && s.LastError == "" {
+			s.LastError = cs.LastError
 		}
-		if c == 0 || cs.StateEpoch < oldest {
-			oldest = cs.StateEpoch
-		}
-	}
-	s.Degraded = s.DegradedComponents > 0
-	s.StateEpoch = oldest
-	if s.StateEpoch >= 0 {
-		if s.EpochLag = s.Snapshots - s.StateEpoch; s.EpochLag < 0 {
-			s.EpochLag = 0
-		}
-	} else {
-		s.EpochLag = s.Snapshots
 	}
 	return s
 }
@@ -1010,9 +890,10 @@ func (f *Fleet) ClusterNodes() (total, live int) {
 }
 
 // Synced blocks until every node's folded snapshot count has caught up
-// with what the fleet delivered to it (sent minus known-missed), or the
-// context expires — the barrier tests and smoke drivers use between
-// ingestion and a parity query.
+// with what the fleet delivered to it, or the context expires — the
+// barrier tests and smoke scripts use between ingestion and a parity query.
+// A node's target is its incarnation's probed base plus the snapshots sent
+// since, minus the known-missed; before the probe it counts as lagging.
 func (f *Fleet) Synced(ctx context.Context) error {
 	for attempt := 0; ; attempt++ {
 		lagging := ""
@@ -1021,7 +902,12 @@ func (f *Fleet) Synced(ctx context.Context) error {
 			lagging = err.Error()
 		} else {
 			for _, nc := range nodes {
-				expect := nc.sent.Load() - nc.missed.Load()
+				base := nc.base.Load()
+				if base < 0 {
+					lagging = fmt.Sprintf("node %s: ingest stream not yet probed", nc.id)
+					break
+				}
+				expect := base + nc.sent.Load() - nc.missed.Load()
 				var ev NodeEvent
 				if err := getJSON(ctx, f.cfg.Client, nc.baseURL()+"/cluster/v1/stats", &ev); err != nil {
 					lagging = fmt.Sprintf("node %s: %v", nc.id, err)

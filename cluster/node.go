@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"lia"
+	"lia/internal/core"
 )
 
 // nodeComponent is one assigned component running on a node: an engine over
@@ -431,23 +432,9 @@ func (n *Node) handleInfer(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errStatus(err), wireCode(err), err)
 		return
 	}
-	resp := GatherResponse{NodeID: n.ID, Assignment: p.assignment, Snapshots: int(p.epoch.Load())}
-	for c, nc := range p.comps {
-		cr := ComponentResult{Component: nc.component}
-		res, err := nc.eng.Infer(r.Context(), sub[c])
-		if err != nil {
-			cr.Error, cr.ErrorCode = err.Error(), wireCode(err)
-		} else {
-			cr.Epoch = res.Epoch
-			cr.LossRates = res.LossRates
-			cr.LogRates = res.LogRates
-			cr.Variances = res.Variances
-			cr.Kept = res.Kept
-			cr.Removed = res.Removed
-		}
-		resp.Components = append(resp.Components, cr)
-	}
-	writeJSON(w, http.StatusOK, resp)
+	n.respond(w, p, func(c int, nc *nodeComponent) (*lia.Result, error) {
+		return nc.eng.Infer(r.Context(), sub[c])
+	})
 }
 
 // handleSteady serves GET /cluster/v1/steady: every component's consistent
@@ -457,24 +444,35 @@ func (n *Node) handleSteady(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	resp := GatherResponse{NodeID: n.ID, Assignment: p.assignment, Snapshots: int(p.epoch.Load())}
-	for _, nc := range p.comps {
-		cr := ComponentResult{Component: nc.component}
+	n.respond(w, p, func(_ int, nc *nodeComponent) (*lia.Result, error) {
 		st, err := nc.eng.Steady(r.Context())
 		if err != nil {
+			return nil, err
+		}
+		return &lia.Result{Epoch: st.Epoch, Variances: st.Variances, Kept: st.Kept, Removed: st.Removed}, nil
+	})
+}
+
+// respond writes a gather call's answer: every assigned component's answer
+// or error, in its local link order and wire form.
+func (n *Node) respond(w http.ResponseWriter, p *placement, answer func(c int, nc *nodeComponent) (*lia.Result, error)) {
+	resp := GatherResponse{NodeID: n.ID, Assignment: p.assignment, Snapshots: int(p.epoch.Load())}
+	for c, nc := range p.comps {
+		cr := ComponentResult{Component: nc.component}
+		if res, err := answer(c, nc); err != nil {
 			cr.Error, cr.ErrorCode = err.Error(), wireCode(err)
 		} else {
-			cr.Epoch = st.Epoch
-			cr.Variances = st.Variances
-			cr.Kept = st.Kept
-			cr.Removed = st.Removed
+			cr.Epoch, cr.LossRates, cr.LogRates = res.Epoch, res.LossRates, res.LogRates
+			cr.Variances, cr.Kept, cr.Removed = res.Variances, res.Kept, res.Removed
 		}
 		resp.Components = append(resp.Components, cr)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// event assembles the node's current epoch state.
+// event assembles the node's current epoch state: per-component counters,
+// and the node's oldest state epoch and degradation from the shared roll-up
+// (core.RollUp).
 func (n *Node) event(typ string) NodeEvent {
 	ev := NodeEvent{Type: typ, NodeID: n.ID, StateEpoch: -1}
 	p := n.current()
@@ -483,9 +481,10 @@ func (n *Node) event(typ string) NodeEvent {
 	}
 	ev.Assignment = p.assignment
 	ev.Snapshots = int(p.epoch.Load())
+	stats := make([]lia.Stats, len(p.comps))
 	for c, nc := range p.comps {
 		cs := nc.eng.Stats()
-		degraded := cs.Degraded || (cs.StateEpoch < 0 && cs.RebuildFailures > 0)
+		stats[c] = cs
 		ev.Components = append(ev.Components, ComponentState{
 			Component:       nc.component,
 			Snapshots:       cs.Snapshots,
@@ -495,19 +494,15 @@ func (n *Node) event(typ string) NodeEvent {
 			RebuildFailures: cs.RebuildFailures,
 			DeltaRebuilds:   cs.DeltaRebuilds,
 			DirtyShards:     cs.DirtyShards,
-			Degraded:        degraded,
+			Degraded:        core.Unhealthy(cs),
 			LastError:       cs.LastError,
 		})
-		if degraded {
-			ev.Degraded = true
-		}
-		if cs.EpochLag > 0 || cs.StateEpoch < 0 && cs.Snapshots > 0 {
+		if cs.EpochLag > 0 {
 			ev.DirtyComponents++
 		}
-		if c == 0 || cs.StateEpoch < ev.StateEpoch {
-			ev.StateEpoch = cs.StateEpoch
-		}
 	}
+	agg := core.RollUp(lia.Stats{}, stats)
+	ev.StateEpoch, ev.Degraded = agg.StateEpoch, agg.Degraded
 	return ev
 }
 
@@ -604,9 +599,7 @@ func (n *Node) Register(ctx context.Context, client *http.Client, coordinatorURL
 			return ctx.Err()
 		case <-time.After(backoff):
 		}
-		if backoff *= 2; backoff > 5*time.Second {
-			backoff = 5 * time.Second
-		}
+		backoff = min(backoff*2, 5*time.Second)
 	}
 }
 

@@ -53,7 +53,13 @@
 // estimates are bitwise-identical to an unsharded engine run on that
 // component alone, while the pair equations straddling components (empty
 // supports) are never enumerated at all. WithShards tunes or disables the
-// policy.
+// policy. Answers come back through one component gather (internal core,
+// shared with lia/cluster): each component's answer, in its local link
+// order, maps to global links; Kept and Removed sort; a failed component's
+// links read Unresolved; and the view reports the oldest healthy component
+// epoch. Stats rolls the components up by the same code — counters sum,
+// StateEpoch is the oldest, and a component is unhealthy while Degraded or
+// while it has failed with no state built.
 //
 // Steady-state rebuilds are O(delta) in the data that moved, not in the
 // topology. Windowed accumulators track which packed comoment blocks each
@@ -131,9 +137,10 @@
 // placement is deterministic and independent of join order), scatters each
 // ingested snapshot's per-component projections over persistent streaming
 // connections, and gathers Infer/Links/Status from the fleet back into
-// global link order. Because the decomposition is exact, the gathered
-// estimates are bitwise-identical to a single process on the same
-// snapshots — for any node count. Degradation stays per-component: an
+// global link order with the sharded engine's own gather and stats roll-up,
+// so the two hosts cannot drift apart. Because the decomposition is exact,
+// the gathered estimates are bitwise-identical to a single process on the
+// same snapshots — for any node count. Degradation stays per-component: an
 // unreachable node marks only the links it hosts Unresolved while the
 // rest of the fleet keeps serving, /readyz names the missing node, and a
 // node that rejoins under the same identity is re-placed and re-fed.

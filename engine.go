@@ -403,82 +403,12 @@ func intsEqual(a, b []int) bool {
 	return true
 }
 
-// Stats is a point-in-time observability snapshot of an Engine, the hook
+// Stats is a point-in-time observability snapshot of an engine, the hook
 // behind liaserve's /v1/status and /metrics endpoints. Counters are read
 // individually (not under one lock), so a Stats taken during concurrent
-// ingestion is approximate to within the in-flight operations.
-type Stats struct {
-	// Snapshots is the lifetime number of learning snapshots ingested.
-	Snapshots int
-	// StateEpoch is the ingestion epoch of the cached Phase-1/elimination
-	// state served to Infer, or -1 before the first rebuild.
-	StateEpoch int
-	// EpochLag is Snapshots − StateEpoch: how many ingested snapshots the
-	// cached state has not absorbed yet (0 when fully warm).
-	EpochLag int
-	// Rebuilds counts Phase-1 state recomputations over the engine's life.
-	Rebuilds uint64
-	// ElimReuses counts rebuilds that reused the previous elimination
-	// because the variance ordering was unchanged.
-	ElimReuses uint64
-	// LastRebuild is the duration of the most recent rebuild (Phase 1 +
-	// elimination); 0 before the first.
-	LastRebuild time.Duration
-	// RebuildFailures counts rebuilds that errored or panicked over the
-	// engine's life (context cancellations are not failures).
-	RebuildFailures uint64
-	// Degraded reports that the most recent rebuild attempt failed and
-	// queries are being served from the last-good state. It clears on the
-	// next successful rebuild.
-	Degraded bool
-	// LastError is the message of the most recent rebuild failure ("" when
-	// none has occurred); LastFailure is when it happened.
-	LastError   string
-	LastFailure time.Time
-	// StateAge is how long ago the served Phase-1 state was built — the
-	// staleness bound of degraded answers. 0 before the first rebuild.
-	StateAge time.Duration
-	// Window is the sliding-window length (WithWindow), 0 when cumulative.
-	Window int
-	// Decay is the per-snapshot decay factor (WithDecay), 0 when unset.
-	Decay float64
-	// Shards is the number of concurrent rebuild groups of a ShardedEngine
-	// (0 for a plain Engine).
-	Shards int
-	// Components is the number of link-connected topology components a
-	// ShardedEngine partitioned its routing matrix into (0 for a plain
-	// Engine).
-	Components int
-	// DegradedComponents counts the components of a ShardedEngine that are
-	// currently unhealthy — serving stale state or failing with none built
-	// (0 for a plain Engine, where Degraded alone tells the story).
-	DegradedComponents int
-	// DeltaRebuilds counts rebuilds whose Phase-1 right-hand side ran the
-	// incremental delta fold — recomputing only the pair shards whose
-	// co-moment block changed since the previous epoch — instead of a full
-	// fold (summed across components for a ShardedEngine). Delta folds
-	// require a bitwise-stable covariance divisor, so they appear with
-	// windowed moments at capacity; cumulative and decayed moments always
-	// full-fold.
-	DeltaRebuilds uint64
-	// DirtyShards is the shard work of the most recent rebuild: for a plain
-	// Engine, the pair shards the last RHS fold recomputed; for a
-	// ShardedEngine, the concurrent rebuild groups that contained at least
-	// one rebuilt component in the most recent rebuild wave.
-	DirtyShards int
-	// DirtyComponents counts the components that actually rebuilt in the
-	// most recent rebuild wave of a ShardedEngine (0 for a plain Engine).
-	DirtyComponents int
-	// SkippedComponents is the lifetime count of components a ShardedEngine
-	// left untouched across rebuild waves because their epochs had not
-	// advanced — each skip avoids a Phase-1 solve and reuses the cached
-	// elimination outright (0 for a plain Engine).
-	SkippedComponents uint64
-	// Rebalances counts dynamic LPT re-groupings of a ShardedEngine's
-	// components across its rebuild shards (see WithRebalance; 0 for a
-	// plain Engine).
-	Rebalances uint64
-}
+// ingestion is approximate to within the in-flight operations. Fields are
+// documented on the aliased type, beside the roll-up of sharded stats.
+type Stats = core.Stats
 
 // Stats reports the engine's observability counters.
 func (e *Engine) Stats() Stats {
@@ -511,13 +441,7 @@ func (e *Engine) Stats() Stats {
 		// checkpointed wall time — report that age, not zero.
 		s.StateAge = time.Since(time.Unix(0, ns))
 	}
-	if s.StateEpoch >= 0 {
-		if s.EpochLag = s.Snapshots - s.StateEpoch; s.EpochLag < 0 {
-			s.EpochLag = 0 // counters raced; lag is defined non-negative
-		}
-	} else {
-		s.EpochLag = s.Snapshots
-	}
+	s.EpochLag = core.EpochLag(s.Snapshots, s.StateEpoch)
 	return s
 }
 
@@ -533,20 +457,11 @@ func (e *Engine) Eliminated(ctx context.Context) (kept, removed []int, err error
 	return append([]int(nil), st.kept...), append([]int(nil), st.removed...), nil
 }
 
-// SteadyState is one consistent view of the engine's cached learning state:
+// SteadyState is one consistent view of an engine's cached learning state:
 // the Phase-1 variances and the Phase-2 partition computed from them, with
-// the ingestion epoch they belong to. Unlike separate Variances/Eliminated
-// calls, every field comes from the same internal state — a concurrent
-// ingestion can never mix epochs within it.
-type SteadyState struct {
-	Epoch         int
-	Variances     []float64
-	Kept, Removed []int
-	// Unresolved lists global virtual links whose owning sharded component
-	// failed to produce a state: their variances read zero and they belong
-	// to neither Kept nor Removed. Always nil for a plain Engine.
-	Unresolved []int
-}
+// the ingestion epoch they belong to. Unresolved lists the links of failed
+// sharded components (always nil for a plain Engine).
+type SteadyState = core.SteadyState
 
 // Steady returns the steady-state learning view at the current ingestion
 // epoch (rebuilding it first if learning data arrived). The slices are the

@@ -340,14 +340,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	}
 	tp.inferences.Add(1)
 	rm := tp.eng.RoutingMatrix()
-	keptSet := make(map[int]bool, len(res.Kept))
-	for _, k := range res.Kept {
-		keptSet[k] = true
-	}
-	unresolvedSet := make(map[int]bool, len(res.Unresolved))
-	for _, k := range res.Unresolved {
-		unresolvedSet[k] = true
-	}
+	kept, unresolved := linkMask(rm, res.Kept), linkMask(rm, res.Unresolved)
 	out := InferResponse{
 		Topology:   tp.name,
 		Epoch:      res.Epoch,
@@ -362,12 +355,21 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 			Members:    rm.Members(k),
 			LossRate:   res.LossRates[k],
 			Variance:   res.Variances[k],
-			Kept:       keptSet[k],
+			Kept:       kept[k],
 			Congested:  congested[k],
-			Unresolved: unresolvedSet[k],
+			Unresolved: unresolved[k],
 		}
 	}
 	writeJSON(w, http.StatusOK, out)
+}
+
+// linkMask marks the listed virtual links of rm.
+func linkMask(rm *lia.RoutingMatrix, links []int) []bool {
+	mask := make([]bool, rm.NumLinks())
+	for _, k := range links {
+		mask[k] = true
+	}
+	return mask
 }
 
 func (s *Server) handleLinks(w http.ResponseWriter, r *http.Request) {
@@ -382,15 +384,8 @@ func (s *Server) handleLinks(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errorCode(err), err)
 		return
 	}
-	keptSet := make(map[int]bool, len(st.Kept))
-	for _, k := range st.Kept {
-		keptSet[k] = true
-	}
-	unresolvedSet := make(map[int]bool, len(st.Unresolved))
-	for _, k := range st.Unresolved {
-		unresolvedSet[k] = true
-	}
 	rm := tp.eng.RoutingMatrix()
+	kept, unresolved := linkMask(rm, st.Kept), linkMask(rm, st.Unresolved)
 	out := LinksResponse{
 		Topology:   tp.name,
 		Epoch:      st.Epoch,
@@ -402,8 +397,8 @@ func (s *Server) handleLinks(w http.ResponseWriter, r *http.Request) {
 		out.Links[k] = LinkState{
 			Members:    rm.Members(k),
 			Variance:   st.Variances[k],
-			Kept:       keptSet[k],
-			Unresolved: unresolvedSet[k],
+			Kept:       kept[k],
+			Unresolved: unresolved[k],
 		}
 	}
 	writeJSON(w, http.StatusOK, out)

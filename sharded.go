@@ -8,8 +8,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
+	"lia/internal/core"
 	"lia/internal/topology"
 )
 
@@ -99,7 +99,6 @@ func newInner(rm *RoutingMatrix, s *settings, options []Option) (Inferencer, err
 type shardComponent struct {
 	eng   *Engine
 	paths []int // global path indices (ascending); local row pl = paths[pl]
-	links []int // local virtual link kl -> global virtual link
 
 	// scratch and batchScratch are the scatter buffers for serialized
 	// ingestion, reused across calls under the sharded engine's ingest lock
@@ -162,6 +161,7 @@ type ShardedEngine struct {
 	rm    *RoutingMatrix
 	part  *topology.Partition
 	comps []*shardComponent
+	links [][]int // per component: local virtual link -> global virtual link
 
 	// groups holds the component indices of each concurrent rebuild group.
 	// It is behind an atomic pointer because dynamic LPT rebalancing (see
@@ -221,6 +221,7 @@ func newShardedEngine(rm *RoutingMatrix, part *topology.Partition, s *settings, 
 		rm:       rm,
 		part:     part,
 		comps:    make([]*shardComponent, part.NumComponents()),
+		links:    make([][]int, part.NumComponents()),
 		rebTheta: s.effectiveRebalance(),
 		rebCost:  make([]float64, part.NumComponents()),
 	}
@@ -238,9 +239,9 @@ func newShardedEngine(rm *RoutingMatrix, part *topology.Partition, s *settings, 
 		e.comps[c] = &shardComponent{
 			eng:     eng,
 			paths:   part.Component(c).Paths,
-			links:   links,
 			scratch: make([]float64, sub.NumPaths()),
 		}
+		e.links[c] = links
 	}
 	e.threshold = e.comps[0].eng.Threshold()
 	e.window = e.comps[0].eng.window
@@ -578,70 +579,14 @@ func maxGroupCost(groups [][]int, cost []float64) float64 {
 	return m
 }
 
-// forEachComponent is the all-or-nothing variant of runComponents: any
-// component error fails the whole pass (errors join in component order).
-func (e *ShardedEngine) forEachComponent(fn func(c int, sc *shardComponent) error) error {
-	return errors.Join(e.runComponents(fn)...)
-}
-
-// gatherError decides the fate of a tolerant gather from its per-component
-// errors: caller cancellation always propagates, and a gather where every
-// component failed has nothing to serve, so the joined error surfaces
-// (preserving ErrTooFewSnapshots cold-start semantics — warm-up is
-// synchronized across components, they all fail together). Any other mix
-// of failures degrades only the failing components' links.
-func gatherError(ctx context.Context, errs []error) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	for _, err := range errs {
-		if err == nil {
-			return nil
-		}
-	}
-	return errors.Join(errs...)
-}
-
-// gatherSteady collects every component's consistent steady-state view,
-// concurrently per shard, tolerating per-component failures: a failed
-// component's slot stays nil and its error is reported alongside.
-func (e *ShardedEngine) gatherSteady(ctx context.Context) ([]*SteadyState, []error, error) {
-	states := make([]*SteadyState, len(e.comps))
-	errs := e.runComponents(func(c int, sc *shardComponent) error {
-		st, err := sc.eng.Steady(ctx)
-		states[c] = st
-		return err
-	})
-	if err := gatherError(ctx, errs); err != nil {
-		return nil, nil, err
-	}
-	return states, errs, nil
-}
-
-// globalEpoch reduces per-component state epochs to the global epoch the
-// gathered view represents: the minimum, i.e. the oldest state any
-// component served (they only diverge under concurrent ingestion).
-func globalEpoch(epochs []int) int {
-	min := epochs[0]
-	for _, e := range epochs[1:] {
-		if e < min {
-			min = e
-		}
-	}
-	return min
-}
-
 // Infer runs Phase 2 on one snapshot of per-path observations: each shard
 // solves its components' reduced systems concurrently, then the per-link
-// results gather back into global link order. Eliminated links report 0,
-// exactly as with Engine.Infer.
-//
-// Component failures are isolated: a component whose solve fails (one that
-// never built a Phase-1 state, or a strict engine in a bad regime) degrades
-// only its own links — they report zero, join neither Kept nor Removed, and
-// are listed in Result.Unresolved — while every healthy component's values
-// stay bitwise what they would be with no failure anywhere. Only a gather
-// in which every component fails returns an error.
+// results gather back into global link order (core.MergeResults).
+// Eliminated links report 0, exactly as with Engine.Infer. Component
+// failures are isolated: a component whose solve fails (one that never
+// built a Phase-1 state, or a strict engine in a bad regime) marks only its
+// own links Unresolved, and only a gather in which every component fails
+// returns an error.
 func (e *ShardedEngine) Infer(ctx context.Context, y []float64) (*Result, error) {
 	if err := checkDim(e.rm, y); err != nil {
 		return nil, err
@@ -652,40 +597,7 @@ func (e *ShardedEngine) Infer(ctx context.Context, y []float64) (*Result, error)
 		results[c] = res
 		return err
 	})
-	if err := gatherError(ctx, errs); err != nil {
-		return nil, err
-	}
-	nc := e.rm.NumLinks()
-	out := &Result{
-		LossRates: make([]float64, nc),
-		LogRates:  make([]float64, nc),
-		Variances: make([]float64, nc),
-	}
-	var epochs []int
-	for c, res := range results {
-		links := e.comps[c].links
-		if errs[c] != nil {
-			out.Unresolved = append(out.Unresolved, links...)
-			continue
-		}
-		for kl, kg := range links {
-			out.LossRates[kg] = res.LossRates[kl]
-			out.LogRates[kg] = res.LogRates[kl]
-			out.Variances[kg] = res.Variances[kl]
-		}
-		for _, kl := range res.Kept {
-			out.Kept = append(out.Kept, links[kl])
-		}
-		for _, kl := range res.Removed {
-			out.Removed = append(out.Removed, links[kl])
-		}
-		epochs = append(epochs, res.Epoch)
-	}
-	sort.Ints(out.Kept)
-	sort.Ints(out.Removed)
-	sort.Ints(out.Unresolved)
-	out.Epoch = globalEpoch(epochs)
-	return out, nil
+	return core.MergeResults(ctx, e.rm.NumLinks(), e.links, results, errs)
 }
 
 // InferCongested runs Infer and classifies every virtual link against the
@@ -699,62 +611,32 @@ func (e *ShardedEngine) InferCongested(ctx context.Context, y []float64) ([]bool
 }
 
 // Steady returns the steady-state learning view gathered across all
-// components, in global link order. Per-component fields are mutually
-// consistent; the Epoch is the oldest healthy component state in the view.
-// Failed components degrade only their own links (zero variances, listed
-// in Unresolved — see Infer); only a total failure returns an error.
+// components (concurrently per shard), in global link order
+// (core.MergeSteady). Per-component fields are mutually consistent; the
+// Epoch is the oldest healthy component state in the view. Failed
+// components degrade only their own links (zero variances, listed in
+// Unresolved — see Infer); only a total failure returns an error.
 func (e *ShardedEngine) Steady(ctx context.Context) (*SteadyState, error) {
-	states, errs, err := e.gatherSteady(ctx)
-	if err != nil {
-		return nil, err
-	}
-	out := &SteadyState{Variances: make([]float64, e.rm.NumLinks())}
-	var epochs []int
-	for c, st := range states {
-		links := e.comps[c].links
-		if errs[c] != nil {
-			out.Unresolved = append(out.Unresolved, links...)
-			continue
+	parts := make([]*Result, len(e.comps))
+	errs := e.runComponents(func(c int, sc *shardComponent) error {
+		st, err := sc.eng.Steady(ctx)
+		if err == nil {
+			parts[c] = &Result{Epoch: st.Epoch, Variances: st.Variances, Kept: st.Kept, Removed: st.Removed}
 		}
-		for kl, v := range st.Variances {
-			out.Variances[links[kl]] = v
-		}
-		for _, kl := range st.Kept {
-			out.Kept = append(out.Kept, links[kl])
-		}
-		for _, kl := range st.Removed {
-			out.Removed = append(out.Removed, links[kl])
-		}
-		epochs = append(epochs, st.Epoch)
-	}
-	sort.Ints(out.Kept)
-	sort.Ints(out.Removed)
-	sort.Ints(out.Unresolved)
-	out.Epoch = globalEpoch(epochs)
-	return out, nil
+		return err
+	})
+	return core.MergeSteady(ctx, e.rm.NumLinks(), e.links, parts, errs)
 }
 
 // Variances returns the Phase-1 per-link variance estimates in global link
-// order, rebuilding stale components (concurrently per shard) first. A
-// failed component's links report zero, with every healthy component's
-// estimates bitwise unaffected; use Steady or Stats to see which links are
-// unresolved. Only a total failure returns an error.
+// order, from the gathered Steady view; a failed component's links report
+// zero (see Steady).
 func (e *ShardedEngine) Variances(ctx context.Context) ([]float64, error) {
-	out := make([]float64, e.rm.NumLinks())
-	errs := e.runComponents(func(c int, sc *shardComponent) error {
-		vars, err := sc.eng.Variances(ctx)
-		if err != nil {
-			return err
-		}
-		for kl, v := range vars {
-			out[sc.links[kl]] = v
-		}
-		return nil
-	})
-	if err := gatherError(ctx, errs); err != nil {
+	st, err := e.Steady(ctx)
+	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	return st.Variances, nil
 }
 
 // Eliminated returns the Phase-2 kept/removed partition in global link
@@ -772,31 +654,26 @@ func (e *ShardedEngine) Eliminated(ctx context.Context) (kept, removed []int, er
 // whole matrix is identifiable exactly when every component is (the
 // augmented matrix is block-diagonal across components).
 func (e *ShardedEngine) CheckIdentifiable() error {
-	return e.forEachComponent(func(c int, sc *shardComponent) error {
+	return errors.Join(e.runComponents(func(c int, sc *shardComponent) error {
 		if err := sc.eng.CheckIdentifiable(); err != nil {
 			return fmt.Errorf("component %d: %w", c, err)
 		}
 		return nil
-	})
+	})...)
 }
 
-// Stats aggregates the observability counters across components: Rebuilds,
-// ElimReuses and RebuildFailures sum, StateEpoch is the oldest component
-// state (-1 before every component rebuilt once), LastRebuild is the
-// slowest component's most recent rebuild — the wall-clock floor of a full
-// sharded rebuild — and the degradation surface reports componentwise:
-// Degraded is true while any component is unhealthy, DegradedComponents
-// counts them, LastError/LastFailure carry the most recent component
-// failure, and StateAge is the stalest served component state. The
-// steady-state surface reads componentwise too: DeltaRebuilds sums the
-// per-component incremental RHS folds, DirtyComponents/DirtyShards describe
-// the most recent wave that rebuilt anything, and SkippedComponents counts
-// the lifetime Phase-1 solves avoided on untouched components. Use
+// Stats rolls the components' counters up (core.RollUp). The sharded
+// engine's own fields: LastRebuild is the slowest component's most recent
+// rebuild — the wall-clock floor of a full sharded rebuild — LastError/
+// LastFailure carry the most recent component failure, StateAge is the
+// stalest served component state, DirtyComponents/DirtyShards describe the
+// most recent wave that rebuilt anything, and SkippedComponents counts the
+// lifetime Phase-1 solves avoided on untouched components. Use
 // ComponentStats for the per-component breakdown.
 func (e *ShardedEngine) Stats() Stats {
-	s := Stats{
+	comps := e.ComponentStats()
+	s := core.RollUp(Stats{
 		Snapshots:         int(e.epoch.Load()),
-		StateEpoch:        -1,
 		Window:            e.window,
 		Decay:             e.decay,
 		Shards:            e.NumShards(),
@@ -805,49 +682,15 @@ func (e *ShardedEngine) Stats() Stats {
 		DirtyShards:       int(e.waveDirtyShards.Load()),
 		SkippedComponents: e.skippedComponents.Load(),
 		Rebalances:        e.rebalances.Load(),
-	}
-	oldest := -1
-	var last time.Duration
-	for c, sc := range e.comps {
-		cs := sc.eng.Stats()
-		s.Rebuilds += cs.Rebuilds
-		s.ElimReuses += cs.ElimReuses
-		s.RebuildFailures += cs.RebuildFailures
-		s.DeltaRebuilds += cs.DeltaRebuilds
-		if componentUnhealthy(cs) {
-			s.DegradedComponents++
-		}
+	}, comps)
+	for _, cs := range comps {
 		if cs.LastFailure.After(s.LastFailure) {
 			s.LastFailure, s.LastError = cs.LastFailure, cs.LastError
 		}
-		if cs.StateAge > s.StateAge {
-			s.StateAge = cs.StateAge
-		}
-		if cs.LastRebuild > last {
-			last = cs.LastRebuild
-		}
-		if c == 0 || cs.StateEpoch < oldest {
-			oldest = cs.StateEpoch
-		}
-	}
-	s.Degraded = s.DegradedComponents > 0
-	s.LastRebuild = last
-	s.StateEpoch = oldest
-	if s.StateEpoch >= 0 {
-		if s.EpochLag = s.Snapshots - s.StateEpoch; s.EpochLag < 0 {
-			s.EpochLag = 0 // counters raced; lag is defined non-negative
-		}
-	} else {
-		s.EpochLag = s.Snapshots
+		s.StateAge = max(s.StateAge, cs.StateAge)
+		s.LastRebuild = max(s.LastRebuild, cs.LastRebuild)
 	}
 	return s
-}
-
-// componentUnhealthy classifies one inner engine's stats for the sharded
-// degradation surface: serving stale after a failed rebuild (Degraded), or
-// failing with nothing built yet (failures recorded, no state epoch).
-func componentUnhealthy(cs Stats) bool {
-	return cs.Degraded || (cs.StateEpoch < 0 && cs.RebuildFailures > 0)
 }
 
 // ComponentStats reports each component's own observability counters, in
