@@ -213,30 +213,6 @@ func TestConcurrentIngestInfer(t *testing.T) {
 			}
 		}()
 	}
-	// A watcher works the incremental system concurrently.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		w, err := eng.Watch()
-		if err != nil {
-			fail <- err
-			return
-		}
-		for i := 0; i < 5; i++ {
-			if err := w.Deactivate(i); err != nil {
-				fail <- err
-				return
-			}
-			if _, err := w.Variances(); err != nil {
-				fail <- err
-				return
-			}
-			if err := w.Reactivate(i); err != nil {
-				fail <- err
-				return
-			}
-		}
-	}()
 	wg.Wait()
 	close(fail)
 	for err := range fail {

@@ -210,11 +210,11 @@ func BenchmarkSolveFirstOrder(b *testing.B) {
 	w, series := benchWorkload(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l := core.New(w.RM, core.Options{})
+		acc := stats.NewCovAccumulator(w.RM.NumPaths())
 		for t := 0; t < 50; t++ {
-			l.AddSnapshot(series[t].Snap.LogRates())
+			acc.Add(series[t].Snap.LogRates())
 		}
-		if _, err := l.Variances(); err != nil {
+		if _, err := core.EstimateVariances(w.RM, acc, core.VarianceOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -223,17 +223,15 @@ func BenchmarkSolveFirstOrder(b *testing.B) {
 func BenchmarkSolveReduced(b *testing.B) {
 	// Phase 2: eliminating and solving eq. (9) — "about 10 times longer".
 	w, series := benchWorkload(b)
-	l := core.New(w.RM, core.Options{})
-	for t := 0; t < 50; t++ {
-		l.AddSnapshot(series[t].Snap.LogRates())
-	}
-	if _, err := l.Variances(); err != nil {
+	vars, err := core.EstimateVariances(w.RM, benchCov(b, w, series), core.VarianceOptions{})
+	if err != nil {
 		b.Fatal(err)
 	}
 	y := series[50].Snap.LogRates()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := l.Infer(y); err != nil {
+		kept, _ := core.EliminateWorkers(w.RM, vars, core.EliminatePaperSequential, 0)
+		if _, err := core.SolveReduced(w.RM, kept, y); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -778,16 +778,6 @@ func (f *Fleet) Variances(ctx context.Context) ([]float64, error) {
 	return st.Variances, nil
 }
 
-// Eliminated returns the Phase-2 kept/removed partition in global link
-// order; a failed component's links appear in neither slice.
-func (f *Fleet) Eliminated(ctx context.Context) (kept, removed []int, err error) {
-	st, err := f.Steady(ctx)
-	if err != nil {
-		return nil, nil, err
-	}
-	return st.Kept, st.Removed, nil
-}
-
 // --- observability ---
 
 // componentState returns the cached watch-stream state of component c and

@@ -19,10 +19,8 @@
 //     eliminate the least-variant columns until R* has full column rank,
 //     and solve the reduced first-order system for the newest snapshot.
 //     Together they are the LIA algorithm of §5.3.
-//   - Engine.Watch wraps the incremental-update machinery of §5.1 ("only
-//     the rows corresponding to the changes need to be updated"): paths can
-//     be deactivated and reactivated as beacons come and go, touching O(np)
-//     equations instead of rebuilding the O(np²) system.
+//   - §5.1's incremental update: a routing change means a new engine;
+//     within a topology, a rebuild refolds only the changed rows' shards.
 //   - WithObservation(ObserveLinear) switches the snapshot semantics to
 //     additive path metrics — the §8 delay-tomography extension.
 //
@@ -125,8 +123,8 @@
 // Server-consumed sources are supervised (restarted with backoff, surfaced
 // per source in /v1/status), and GET /readyz separates readiness — state
 // built, nothing degraded, no source in backoff — from /healthz liveness.
-// cmd/liaserve is the ready-made binary; Engine.Stats and
-// Engine.Eliminated are the observability hooks it reads. GET /v1/watch
+// cmd/liaserve is the ready-made binary; Engine.Stats and Engine.Steady
+// are the observability hooks it reads. GET /v1/watch
 // pushes epoch-advance events to long-lived clients as an NDJSON stream,
 // so dashboards learn of new estimates without polling.
 //

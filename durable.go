@@ -823,10 +823,6 @@ func (d *DurableEngine) Variances(ctx context.Context) ([]float64, error) {
 	return d.inner.Variances(ctx)
 }
 
-func (d *DurableEngine) Eliminated(ctx context.Context) (kept, removed []int, err error) {
-	return d.inner.Eliminated(ctx)
-}
-
 func (d *DurableEngine) Steady(ctx context.Context) (*SteadyState, error) {
 	return d.inner.Steady(ctx)
 }

@@ -445,18 +445,6 @@ func (e *Engine) Stats() Stats {
 	return s
 }
 
-// Eliminated returns the Phase-2 partition of the virtual links at the
-// current ingestion epoch: the kept columns forming the full-column-rank R*
-// and the removed (approximated loss-free) ones. Both slices are the
-// caller's to keep.
-func (e *Engine) Eliminated(ctx context.Context) (kept, removed []int, err error) {
-	st, err := e.currentState(ctx)
-	if err != nil {
-		return nil, nil, err
-	}
-	return append([]int(nil), st.kept...), append([]int(nil), st.removed...), nil
-}
-
 // SteadyState is one consistent view of an engine's cached learning state:
 // the Phase-1 variances and the Phase-2 partition computed from them, with
 // the ingestion epoch they belong to. Unresolved lists the links of failed

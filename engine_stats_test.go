@@ -1,10 +1,9 @@
 package lia_test
 
 // engine_stats_test.go covers the engine observability hooks behind
-// liaserve's /v1/status endpoint (Stats, Eliminated), the Phase-2
-// elimination cache keyed on the variance ordering, the watcher's
-// staleness/refresh API over windowed moments, and the typed NDJSON line
-// errors of FileSource.
+// liaserve's /v1/status endpoint (Stats, Steady), the Phase-2 elimination
+// cache keyed on the variance ordering, and the typed NDJSON line errors of
+// FileSource.
 
 import (
 	"context"
@@ -87,14 +86,16 @@ func TestEngineStatsElimCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kept, removed, err := eng.Eliminated(ctx)
+	steady, err := eng.Steady(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantKept, wantRemoved, err := fresh.Eliminated(ctx)
+	wantSteady, err := fresh.Steady(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
+	kept, removed := steady.Kept, steady.Removed
+	wantKept, wantRemoved := wantSteady.Kept, wantSteady.Removed
 	if len(kept) != len(wantKept) || len(removed) != len(wantRemoved) {
 		t.Fatalf("partition sizes: kept %d/%d removed %d/%d", len(kept), len(wantKept), len(removed), len(wantRemoved))
 	}
@@ -117,99 +118,6 @@ func TestEngineStatsElimCache(t *testing.T) {
 	}
 	if fs := fresh.Stats(); fs.ElimReuses != 0 {
 		t.Fatalf("from-scratch engine reports %d elim reuses", fs.ElimReuses)
-	}
-}
-
-// TestWatcherStaleRefresh: a watcher over a WithWindow engine must report
-// staleness as the stream advances and, after RefreshIfStale, solve over
-// exactly the engine's current windowed moments — tracking the regime
-// change — while preserving its deactivated-path set.
-func TestWatcherStaleRefresh(t *testing.T) {
-	rm, err := lia.NewTopology(apiTreePaths(2, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	const window = 30
-	eng, err := lia.NewEngine(rm, lia.WithWindow(window))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := eng.Stats(); st.Window != window {
-		t.Fatalf("Stats.Window = %d, want %d", st.Window, window)
-	}
-	old := collectSnapshots(t, rm, 21, 60)
-	cur := collectSnapshots(t, rm, 22, 60)
-	if err := eng.IngestBatch(old); err != nil {
-		t.Fatal(err)
-	}
-	w, err := eng.Watch()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.Stale() {
-		t.Fatal("watcher stale immediately after Watch")
-	}
-	if w.Epoch() != 60 {
-		t.Fatalf("watcher epoch = %d, want 60", w.Epoch())
-	}
-	if err := w.Deactivate(0); err != nil {
-		t.Fatal(err)
-	}
-
-	// New regime fully turns the window over.
-	if err := eng.IngestBatch(cur); err != nil {
-		t.Fatal(err)
-	}
-	if !w.Stale() {
-		t.Fatal("watcher not stale after 60 new snapshots")
-	}
-	refreshed, err := w.RefreshIfStale()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !refreshed {
-		t.Fatal("RefreshIfStale did not refresh a stale watcher")
-	}
-	if w.Stale() || w.Epoch() != 120 {
-		t.Fatalf("after refresh: stale=%v epoch=%d", w.Stale(), w.Epoch())
-	}
-	if w.Active(0) {
-		t.Fatal("refresh lost the deactivated-path set")
-	}
-	if again, err := w.RefreshIfStale(); err != nil || again {
-		t.Fatalf("RefreshIfStale on fresh watcher = (%v, %v), want (false, nil)", again, err)
-	}
-
-	// Reference: a watcher built over a fresh windowed engine that only ever
-	// saw the last `window` snapshots, with the same path deactivated. The
-	// refreshed watcher's moments must match it (same windowed covariances up
-	// to reverse-Welford rounding), i.e. the regime change is tracked.
-	ref, err := lia.NewEngine(rm, lia.WithWindow(window))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.IngestBatch(cur[len(cur)-window:]); err != nil {
-		t.Fatal(err)
-	}
-	rw, err := ref.Watch()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rw.Deactivate(0); err != nil {
-		t.Fatal(err)
-	}
-	got, err := w.Variances()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := rw.Variances()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := range want {
-		if d := math.Abs(got[k] - want[k]); d > 1e-9+1e-6*math.Abs(want[k]) {
-			t.Fatalf("link %d: refreshed watcher variance %g, fresh-window watcher %g (Δ=%g)", k, got[k], want[k], d)
-		}
 	}
 }
 

@@ -3,7 +3,6 @@ package lia_test
 import (
 	"context"
 	"errors"
-	"math"
 	"testing"
 
 	"lia"
@@ -47,10 +46,6 @@ func TestSentinelErrors(t *testing.T) {
 		t.Fatalf("Variances with 1 snapshot = %v, want ErrTooFewSnapshots", err)
 	}
 
-	// Watch has the same requirement.
-	if _, err := eng.Watch(); !errors.Is(err, lia.ErrTooFewSnapshots) {
-		t.Fatalf("Watch with 1 snapshot = %v, want ErrTooFewSnapshots", err)
-	}
 }
 
 func TestSentinelUnidentifiable(t *testing.T) {
@@ -149,90 +144,6 @@ func TestThresholdZeroClassifies(t *testing.T) {
 		if want := res.LossRates[k] > 0; c != want {
 			t.Fatalf("link %d: congested=%v with loss %g under tl=0", k, c, res.LossRates[k])
 		}
-	}
-}
-
-func TestWatcherDeactivateReactivate(t *testing.T) {
-	ctx := context.Background()
-	rm, err := lia.NewTopology(apiTreePaths(2, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := lia.NewEngine(rm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := lia.NewSimSource(rm, lia.SimConfig{Probes: 800, Seed: 17, CongestedFraction: 0.2})
-	if _, err := eng.Consume(ctx, lia.Limit(src, 30)); err != nil {
-		t.Fatal(err)
-	}
-
-	w, err := eng.Watch()
-	if err != nil {
-		t.Fatal(err)
-	}
-	before, err := w.Variances()
-	if err != nil {
-		t.Fatal(err)
-	}
-	eqBefore := w.Equations()
-
-	if err := w.Deactivate(0); err != nil {
-		t.Fatal(err)
-	}
-	if w.Active(0) {
-		t.Fatal("path 0 still active after Deactivate")
-	}
-	if err := w.Deactivate(0); err == nil {
-		t.Fatal("double Deactivate must fail")
-	}
-	if w.Equations() >= eqBefore {
-		t.Fatalf("equations did not shrink: %d -> %d", eqBefore, w.Equations())
-	}
-	covered := w.Covered()
-	if len(covered) != rm.NumLinks() {
-		t.Fatalf("Covered length %d, want %d", len(covered), rm.NumLinks())
-	}
-	if _, err := w.Variances(); err != nil {
-		t.Fatalf("variances over deactivated system: %v", err)
-	}
-
-	if err := w.Reactivate(0); err != nil {
-		t.Fatal(err)
-	}
-	if w.Equations() != eqBefore {
-		t.Fatalf("equations after reactivate = %d, want %d", w.Equations(), eqBefore)
-	}
-	after, err := w.Variances()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := range before {
-		if d := math.Abs(after[k] - before[k]); d > 1e-9*(1+math.Abs(before[k])) {
-			t.Fatalf("link %d variance drifted across deactivate/reactivate: %g vs %g", k, before[k], after[k])
-		}
-	}
-
-	// Refresh re-syncs to the engine's newer moments, preserving the
-	// active set.
-	if err := w.Deactivate(1); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := src.Next(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Ingest(snap.Y); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Refresh(); err != nil {
-		t.Fatal(err)
-	}
-	if w.Active(1) {
-		t.Fatal("Refresh must preserve the deactivated set")
-	}
-	if _, err := w.Variances(); err != nil {
-		t.Fatal(err)
 	}
 }
 

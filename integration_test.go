@@ -1,10 +1,12 @@
 package lia_test
 
 import (
+	"context"
 	"math"
 	"math/rand/v2"
 	"testing"
 
+	"lia"
 	"lia/internal/baseline"
 	"lia/internal/core"
 	"lia/internal/emunet"
@@ -35,17 +37,22 @@ func TestFullPipelineSimulated(t *testing.T) {
 
 	scen := lossmodel.NewScenario(lossmodel.Config{Model: lossmodel.LLRD1, Fraction: 0.1}, rng, rm.NumLinks())
 	sim := netsim.New(rm, netsim.Config{Probes: 1000, Seed: 55, Mode: netsim.ModeExact})
-	lia := core.New(rm, core.Options{})
+	eng, err := lia.NewEngine(rm)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for s := 0; s < 50; s++ {
 		if s > 0 {
 			scen.Advance()
 		}
-		lia.AddSnapshot(sim.Run(scen.Rates()).LogRates())
+		if err := eng.Ingest(sim.Run(scen.Rates()).LogRates()); err != nil {
+			t.Fatal(err)
+		}
 	}
 	scen.Advance()
 	truthRates := append([]float64(nil), scen.Rates()...)
 	snap := sim.Run(truthRates)
-	res, err := lia.Infer(snap.LogRates())
+	res, err := eng.Infer(context.Background(), snap.LogRates())
 	if err != nil {
 		t.Fatal(err)
 	}

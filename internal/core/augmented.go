@@ -86,42 +86,8 @@ func (gr *Gram) AddEquation(support []int32, sigma float64) {
 	gr.n++
 }
 
-// RemoveEquation cancels a previously added equation (used for incremental
-// updates when paths appear or disappear, Section 5.1's "only the rows
-// corresponding to the changes need to be updated").
-func (gr *Gram) RemoveEquation(support []int32, sigma float64) {
-	for _, k := range support {
-		gr.rhs[k] -= sigma
-		rowk := gr.g.Row(int(k))
-		for _, l := range support {
-			rowk[l]--
-		}
-	}
-	gr.n--
-}
-
-// Merge folds another accumulator over the same link set into this one.
-// It mirrors the reduction rule of the sharded Phase-1 pipeline (whose
-// production fold lives inline in accumulateGram): G entries are small
-// integer counts, so their merge is exact in floating point regardless of
-// order, while the right-hand side is order-sensitive — callers that need
-// determinism must merge partial Grams in a fixed order.
-func (gr *Gram) Merge(other *Gram) {
-	gr.g.AddMat(other.g)
-	for k, v := range other.rhs {
-		gr.rhs[k] += v
-	}
-	gr.n += other.n
-}
-
 // Equations returns the number of equations currently folded in.
 func (gr *Gram) Equations() int { return gr.n }
-
-// Matrix returns the accumulated AᵀA (shared storage; treat as read-only).
-func (gr *Gram) Matrix() *linalg.Dense { return gr.g }
-
-// RHS returns the accumulated AᵀΣ* (shared storage; treat as read-only).
-func (gr *Gram) RHS() []float64 { return gr.rhs }
 
 // Solve solves the normal equations for v by Cholesky factorization,
 // falling back to a minimally regularized factorization when sampling noise

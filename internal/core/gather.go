@@ -92,9 +92,8 @@ type Stats struct {
 // SteadyState is one consistent view of an engine's cached learning state
 // (lia.SteadyState):
 // the Phase-1 variances and the Phase-2 partition computed from them, with
-// the ingestion epoch they belong to. Unlike separate Variances/Eliminated
-// calls, every field comes from the same internal state — a concurrent
-// ingestion can never mix epochs within it.
+// the ingestion epoch they belong to. Every field comes from the same
+// internal state — a concurrent ingestion can never mix epochs within it.
 type SteadyState struct {
 	Epoch         int
 	Variances     []float64

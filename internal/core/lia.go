@@ -1,10 +1,8 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
-	"lia/internal/stats"
 	"lia/internal/topology"
 )
 
@@ -27,7 +25,9 @@ const (
 	ObserveLinear
 )
 
-// Options configures a LIA instance.
+// Options configures one LIA pipeline: the Phase-1 solver, the Phase-2
+// elimination strategy, the observation semantics and the congestion
+// threshold.
 type Options struct {
 	Variance VarianceOptions
 	Strategy Elimination
@@ -51,54 +51,6 @@ func (o Options) EffectiveThreshold() float64 {
 		return CongestionThreshold
 	}
 	return o.Threshold
-}
-
-// LIA is the Loss Inference Algorithm of Section 5.3. Feed it the learning
-// snapshots (Phase 1) with AddSnapshot, then call Infer on the newest
-// snapshot (Phase 2).
-//
-// A LIA instance is not safe for concurrent use.
-type LIA struct {
-	rm   *topology.RoutingMatrix
-	opts Options
-	acc  *stats.CovAccumulator
-
-	vars      []float64 // cached variance estimates
-	varsAt    int       // snapshot count the cache was computed at
-	keptCache []int
-	remCache  []int
-}
-
-// New creates a LIA over the reduced routing matrix.
-func New(rm *topology.RoutingMatrix, opts Options) *LIA {
-	return &LIA{rm: rm, opts: opts, acc: stats.NewCovAccumulator(rm.NumPaths())}
-}
-
-// RoutingMatrix returns the matrix the instance operates on.
-func (l *LIA) RoutingMatrix() *topology.RoutingMatrix { return l.rm }
-
-// AddSnapshot folds one learning snapshot of per-path log transmission
-// rates into the covariance moments.
-func (l *LIA) AddSnapshot(y []float64) {
-	l.acc.Add(y)
-}
-
-// Snapshots returns the number of learning snapshots absorbed so far.
-func (l *LIA) Snapshots() int { return l.acc.Count() }
-
-// Variances returns the Phase-1 estimates of the per-link variances,
-// recomputing only when new snapshots arrived since the last call.
-func (l *LIA) Variances() ([]float64, error) {
-	if l.vars != nil && l.varsAt == l.acc.Count() {
-		return l.vars, nil
-	}
-	v, err := EstimateVariances(l.rm, l.acc, l.opts.Variance)
-	if err != nil {
-		return nil, err
-	}
-	l.vars, l.varsAt = v, l.acc.Count()
-	l.keptCache, l.remCache = nil, nil
-	return v, nil
 }
 
 // Result is the output of one Phase-2 inference.
@@ -163,26 +115,6 @@ func VarGateAt(tl float64, probes int) float64 {
 	return 3 * (tl*tl/12 + 2.5*tl/float64(probes))
 }
 
-// Infer runs Phase 2 on the newest snapshot's per-path log transmission
-// rates. The learning snapshots previously added determine the elimination
-// order; the elimination itself is cached across calls until new learning
-// data arrives.
-func (l *LIA) Infer(y []float64) (*Result, error) {
-	vars, err := l.Variances()
-	if err != nil {
-		return nil, fmt.Errorf("core: phase 1: %w", err)
-	}
-	if l.keptCache == nil {
-		l.keptCache, l.remCache = EliminateWorkers(l.rm, vars, l.opts.Strategy, l.opts.Variance.Workers)
-	}
-	kept, removed := l.keptCache, l.remCache
-	x, err := SolveReduced(l.rm, kept, y)
-	if err != nil {
-		return nil, fmt.Errorf("core: phase 2: %w", err)
-	}
-	return AssembleResult(l.rm, l.opts.Observation, vars, kept, removed, x), nil
-}
-
 // AssembleResult maps the reduced-system solution x (aligned with kept) back
 // to full per-link vectors under the given observation semantics. The input
 // slices are stored in the Result, not copied.
@@ -216,14 +148,4 @@ func AssembleResult(rm *topology.RoutingMatrix, obs Observation, vars []float64,
 		}
 	}
 	return res
-}
-
-// InferCongested is a convenience wrapper returning the congestion
-// classification at the configured threshold.
-func (l *LIA) InferCongested(y []float64) ([]bool, *Result, error) {
-	res, err := l.Infer(y)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res.Congested(l.opts.EffectiveThreshold()), res, nil
 }

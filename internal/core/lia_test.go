@@ -151,6 +151,35 @@ func TestSolveReducedRecoversRates(t *testing.T) {
 	}
 }
 
+// testLIA composes LIA's stages the way lia.Engine runs them: Phase-1
+// variances from the learning moments, variance-ordered elimination, then
+// the reduced solve of the inferred snapshot. It lets core's accuracy tests
+// exercise the whole pipeline without the engine's caches.
+type testLIA struct {
+	rm   *topology.RoutingMatrix
+	opts Options
+	acc  *stats.CovAccumulator
+}
+
+func newTestLIA(rm *topology.RoutingMatrix, opts Options) *testLIA {
+	return &testLIA{rm: rm, opts: opts, acc: stats.NewCovAccumulator(rm.NumPaths())}
+}
+
+func (l *testLIA) AddSnapshot(y []float64) { l.acc.Add(y) }
+
+func (l *testLIA) Infer(y []float64) (*Result, error) {
+	vars, err := EstimateVariances(l.rm, l.acc, l.opts.Variance)
+	if err != nil {
+		return nil, err
+	}
+	kept, removed := EliminateWorkers(l.rm, vars, l.opts.Strategy, l.opts.Variance.Workers)
+	x, err := SolveReduced(l.rm, kept, y)
+	if err != nil {
+		return nil, err
+	}
+	return AssembleResult(l.rm, l.opts.Observation, vars, kept, removed, x), nil
+}
+
 // runLIAOnTree is the end-to-end integration check: packet-level simulation
 // on a random tree with the paper's LLRD1/Gilbert workload, then LIA.
 func runLIAOnTree(t *testing.T, strategy Elimination, mode netsim.Mode) (stats.Detection, []float64, []float64) {
@@ -168,7 +197,7 @@ func runLIAOnTree(t *testing.T, strategy Elimination, mode netsim.Mode) (stats.D
 	}, rng, rm.NumLinks())
 	sim := netsim.New(rm, netsim.Config{Probes: 1000, Seed: 123, Mode: mode})
 
-	l := New(rm, Options{Strategy: strategy})
+	l := newTestLIA(rm, Options{Strategy: strategy})
 	const m = 50
 	for s := 0; s < m; s++ {
 		if s > 0 {
@@ -250,7 +279,7 @@ func TestLIAErrorsVsRealizedRates(t *testing.T) {
 	}
 	scen := lossmodel.NewScenario(lossmodel.Config{Model: lossmodel.LLRD1, Fraction: 0.1}, rng, rm.NumLinks())
 	sim := netsim.New(rm, netsim.Config{Probes: 1000, Seed: 9})
-	l := New(rm, Options{})
+	l := newTestLIA(rm, Options{})
 	for s := 0; s < 50; s++ {
 		if s > 0 {
 			scen.Advance()
@@ -278,50 +307,9 @@ func TestLIAErrorsVsRealizedRates(t *testing.T) {
 
 func TestLIAInferErrorsWithoutSnapshots(t *testing.T) {
 	rm := figure1(t)
-	l := New(rm, Options{})
+	l := newTestLIA(rm, Options{})
 	if _, err := l.Infer(make([]float64, rm.NumPaths())); err == nil {
 		t.Fatal("Infer without learning snapshots should fail")
-	}
-}
-
-func TestLIAVarianceCaching(t *testing.T) {
-	rng := rand.New(rand.NewPCG(5, 6))
-	rm := figure1(t)
-	l := New(rm, Options{})
-	truth := []float64{0.01, 0, 0.02, 0, 0.001}
-	acc := syntheticSnapshots(rng, rm, truth, 100)
-	_ = acc
-	for s := 0; s < 100; s++ {
-		y := make([]float64, rm.NumPaths())
-		x := make([]float64, rm.NumLinks())
-		for k := range x {
-			x[k] = rng.NormFloat64() * math.Sqrt(truth[k])
-		}
-		for i := range y {
-			for _, k := range rm.Row(i) {
-				y[i] += x[k]
-			}
-		}
-		l.AddSnapshot(y)
-	}
-	v1, err := l.Variances()
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, err := l.Variances()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &v1[0] != &v2[0] {
-		t.Fatal("expected cached variance slice on second call")
-	}
-	l.AddSnapshot(make([]float64, rm.NumPaths()))
-	v3, err := l.Variances()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &v1[0] == &v3[0] {
-		t.Fatal("expected recomputation after new snapshot")
 	}
 }
 
@@ -332,6 +320,84 @@ func TestResultCongestedThreshold(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("Congested = %v, want %v", got, want)
+		}
+	}
+}
+
+func TestVarGateAt(t *testing.T) {
+	g := VarGateAt(0.002, 1000)
+	if g <= 0 {
+		t.Fatal("gate must be positive")
+	}
+	// More probes → tighter sampling variance → smaller gate.
+	if VarGateAt(0.002, 4000) >= g {
+		t.Error("gate should shrink with more probes")
+	}
+	// Default probes fallback.
+	if VarGateAt(0.002, 0) != g {
+		t.Error("zero probes should default to 1000")
+	}
+}
+
+func TestCongestedGated(t *testing.T) {
+	r := &Result{
+		LossRates: []float64{0.05, 0.05, 0.001},
+		Variances: []float64{1e-3, 1e-9, 1e-3},
+	}
+	got := r.CongestedGated(0.002, 1e-5)
+	want := []bool{true, false, false} // link 1 gated out by variance
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("CongestedGated = %v, want %v", got, want)
+		}
+	}
+}
+
+func TestObserveLinearDelays(t *testing.T) {
+	// The Section 8 delay extension: plant additive link delays, verify the
+	// linear-observation mode recovers them for kept links.
+	rng := rand.New(rand.NewPCG(44, 4))
+	rm := figure1(t)
+	congested := []bool{true, false, true, false, false}
+	draw := func() []float64 {
+		d := make([]float64, rm.NumLinks())
+		for k := range d {
+			if congested[k] {
+				d[k] = 5 + 10*rng.Float64()
+			} else {
+				d[k] = 0.01 * rng.Float64()
+			}
+		}
+		return d
+	}
+	l := newTestLIA(rm, Options{Observation: ObserveLinear})
+	for s := 0; s < 300; s++ {
+		d := draw()
+		y := make([]float64, rm.NumPaths())
+		for i := range y {
+			for _, k := range rm.Row(i) {
+				y[i] += d[k]
+			}
+		}
+		l.AddSnapshot(y)
+	}
+	truth := draw()
+	y := make([]float64, rm.NumPaths())
+	for i := range y {
+		for _, k := range rm.Row(i) {
+			y[i] += truth[k]
+		}
+	}
+	res, err := l.Infer(y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, c := range congested {
+		if !c {
+			continue
+		}
+		if math.Abs(res.LossRates[k]-truth[k]) > 0.1 {
+			t.Errorf("link %d delay: inferred %.3f, want %.3f", k, res.LossRates[k], truth[k])
 		}
 	}
 }

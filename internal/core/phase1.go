@@ -46,11 +46,10 @@ type Phase1 struct {
 	rm   *topology.RoutingMatrix
 	opts VarianceOptions
 
-	mu     sync.Mutex
-	built  bool
-	chol   *linalg.Cholesky
-	lambda float64 // ridge the factorization needed (diagnostics)
-	err    error   // sticky factorization failure (deterministic per topology)
+	mu    sync.Mutex
+	built bool
+	chol  *linalg.Cholesky
+	err   error // sticky factorization failure (deterministic per topology)
 
 	deltaMu sync.Mutex
 	delta   rhsDelta
@@ -125,14 +124,6 @@ func (p *Phase1) Warm() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.built && p.err == nil
-}
-
-// Ridge returns the regularization λ the cached factorization needed (0 for
-// a cleanly positive-definite system; meaningful only once Warm).
-func (p *Phase1) Ridge() float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.lambda
 }
 
 // Estimate solves Σ* = A·v for the per-link variances against the given
@@ -247,12 +238,12 @@ func (p *Phase1) factor() (*linalg.Cholesky, error) {
 	// nil kept bitmap: under clamp/keep every equation survives, so G needs
 	// no covariance data at all.
 	accumulateGramInto(g, p.rm, nil, p.opts.shardWorkers(p.rm.NumPairs()))
-	ch, lambda, err := linalg.NewCholeskyRegularized(g)
+	ch, _, err := linalg.NewCholeskyRegularized(g)
 	p.built = true
 	if err != nil {
 		p.err = fmt.Errorf("core: normal-equations variance solve: %w: %w", ErrUnidentifiable, err)
 		return nil, p.err
 	}
-	p.chol, p.lambda = ch, lambda
+	p.chol = ch
 	return ch, nil
 }

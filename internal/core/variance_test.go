@@ -223,42 +223,6 @@ func TestParallelDeterministic(t *testing.T) {
 // TestGramMergeMatchesSequential exercises the shard-merge API directly:
 // folding disjoint equation ranges into separate Grams and merging must
 // reproduce the single-accumulator system.
-func TestGramMergeMatchesSequential(t *testing.T) {
-	rm, acc := randomWorkload(t, 23, 40)
-	nc := rm.NumLinks()
-	whole := NewGram(nc)
-	VisitPairs(rm, func(i, j int, support []int32) {
-		if len(support) > 0 {
-			whole.AddEquation(support, acc.Cov(i, j))
-		}
-	})
-	merged := NewGram(nc)
-	half := rm.NumPairs() / 2
-	for _, rng := range [][2]int{{0, half}, {half, rm.NumPairs()}} {
-		part := NewGram(nc)
-		VisitPairsRange(rm, rng[0], rng[1], func(i, j int, support []int32) {
-			if len(support) > 0 {
-				part.AddEquation(support, acc.Cov(i, j))
-			}
-		})
-		merged.Merge(part)
-	}
-	if merged.Equations() != whole.Equations() {
-		t.Fatalf("merged %d equations, want %d", merged.Equations(), whole.Equations())
-	}
-	for a := 0; a < nc; a++ {
-		for b := 0; b < nc; b++ {
-			if merged.Matrix().At(a, b) != whole.Matrix().At(a, b) {
-				t.Fatalf("G[%d,%d]: merged %g, whole %g", a, b,
-					merged.Matrix().At(a, b), whole.Matrix().At(a, b))
-			}
-		}
-		if d := math.Abs(merged.RHS()[a] - whole.RHS()[a]); d > 1e-12 {
-			t.Fatalf("rhs[%d]: merged %g, whole %g", a, merged.RHS()[a], whole.RHS()[a])
-		}
-	}
-}
-
 func TestNegativeWorkersFallsBackToSerial(t *testing.T) {
 	rm, acc := randomWorkload(t, 31, 40)
 	serial, err := EstimateVariances(rm, acc, VarianceOptions{Method: VarianceNormalEquations, Workers: 1})

@@ -1,12 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand/v2"
 
 	"lia/internal/asmap"
-	"lia/internal/core"
 	"lia/internal/lossmodel"
 	"lia/internal/netsim"
 	"lia/internal/topology"
@@ -57,19 +57,24 @@ func CrossValidate(paths []topology.Path, fracs [][]float64, m int, probes int, 
 	if err != nil {
 		return 0, fmt.Errorf("experiments: inference topology: %w", err)
 	}
-	l := core.New(rmInf, core.Options{})
+	eng, err := newEngine(rmInf, Config{})
+	if err != nil {
+		return 0, err
+	}
 	for t := 0; t < m; t++ {
 		y := make([]float64, len(infIdx))
 		for i, idx := range infIdx {
 			y[i] = logOne(fracs[t][idx], probes)
 		}
-		l.AddSnapshot(y)
+		if err := eng.Ingest(y); err != nil {
+			return 0, err
+		}
 	}
 	yInfer := make([]float64, len(infIdx))
 	for i, idx := range infIdx {
 		yInfer[i] = logOne(fracs[m][idx], probes)
 	}
-	res, err := l.Infer(yInfer)
+	res, err := eng.Infer(context.Background(), yInfer)
 	if err != nil {
 		return 0, err
 	}
@@ -198,11 +203,16 @@ func Table3(cfg Config) (*Table, error) {
 			}
 		}
 		series := simulateSeriesWeighted(w, cfg, uint64(run)+500, cfg.Snapshots+1, weights)
-		l := core.New(w.RM, core.Options{Strategy: cfg.Strategy, Variance: cfg.Variance})
-		for t := 0; t < cfg.Snapshots; t++ {
-			l.AddSnapshot(series[t].Snap.LogRates())
+		eng, err := newEngine(w.RM, cfg)
+		if err != nil {
+			return nil, err
 		}
-		res, err := l.Infer(series[cfg.Snapshots].Snap.LogRates())
+		for t := 0; t < cfg.Snapshots; t++ {
+			if err := eng.Ingest(series[t].Snap.LogRates()); err != nil {
+				return nil, err
+			}
+		}
+		res, err := eng.Infer(context.Background(), series[cfg.Snapshots].Snap.LogRates())
 		if err != nil {
 			return nil, err
 		}
@@ -277,11 +287,16 @@ func CongestionDurations(cfg Config, observed int, tl float64) (*Table, error) {
 	tracker := asmap.NewDurationTracker(w.RM.NumLinks())
 	truthTracker := asmap.NewDurationTracker(w.RM.NumLinks())
 	for t := cfg.Snapshots; t < total; t++ {
-		l := core.New(w.RM, core.Options{Strategy: cfg.Strategy, Variance: cfg.Variance})
-		for s := t - cfg.Snapshots; s < t; s++ {
-			l.AddSnapshot(series[s].LogRates())
+		eng, err := newEngine(w.RM, cfg)
+		if err != nil {
+			return nil, err
 		}
-		res, err := l.Infer(series[t].LogRates())
+		for s := t - cfg.Snapshots; s < t; s++ {
+			if err := eng.Ingest(series[s].LogRates()); err != nil {
+				return nil, err
+			}
+		}
+		res, err := eng.Infer(context.Background(), series[t].LogRates())
 		if err != nil {
 			return nil, err
 		}

@@ -1,15 +1,18 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand/v2"
 
+	"lia"
 	"lia/internal/baseline"
 	"lia/internal/core"
 	"lia/internal/lossmodel"
 	"lia/internal/netsim"
 	"lia/internal/stats"
+	"lia/internal/topology"
 )
 
 // SnapshotRecord pairs a simulated snapshot with the assigned (ground truth)
@@ -54,6 +57,17 @@ func simulateSeriesWeighted(w *Workload, cfg Config, runSeed uint64, count int, 
 		})
 	}
 	return out
+}
+
+// newEngine builds the LIA engine an experiment runs, with the elimination
+// strategy and Phase-1 solver options the configuration selects.
+func newEngine(rm *topology.RoutingMatrix, cfg Config) (*lia.Engine, error) {
+	return lia.NewEngine(rm,
+		lia.WithStrategy(cfg.Strategy),
+		lia.WithVarianceMethod(cfg.Variance.Method),
+		lia.WithNegCovPolicy(cfg.Variance.NegPolicy),
+		lia.WithWorkers(cfg.Variance.Workers),
+	)
 }
 
 // RunMetrics aggregates the quality of one inference.
@@ -142,20 +156,25 @@ func RunCheckpoints(w *Workload, cfg Config, runSeed uint64, checkpoints []int) 
 		}
 	}
 	series := SimulateSeries(w, cfg, runSeed, maxM+1)
-	l := core.New(w.RM, core.Options{Strategy: cfg.Strategy, Variance: cfg.Variance})
+	eng, err := newEngine(w.RM, cfg)
+	if err != nil {
+		return nil, err
+	}
 	want := make(map[int]bool, len(checkpoints))
 	for _, m := range checkpoints {
 		want[m] = true
 	}
 	var out []CheckpointResult
 	for t := 0; t < maxM; t++ {
-		l.AddSnapshot(series[t].Snap.LogRates())
+		if err := eng.Ingest(series[t].Snap.LogRates()); err != nil {
+			return nil, err
+		}
 		m := t + 1
 		if !want[m] {
 			continue
 		}
 		rec := series[m] // the (m+1)-th snapshot
-		res, err := l.Infer(rec.Snap.LogRates())
+		res, err := eng.Infer(context.Background(), rec.Snap.LogRates())
 		if err != nil {
 			return nil, fmt.Errorf("experiments: checkpoint m=%d: %w", m, err)
 		}

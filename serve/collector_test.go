@@ -23,7 +23,7 @@ func TestCollectorSourceRoundTrip(t *testing.T) {
 	src, err := serve.NewCollectorSource("127.0.0.1:0", serve.CollectorConfig{
 		Paths:     2,
 		Probes:    100,
-		Settle:    -1, // reports below are synchronous; skip the merge wait
+		Settle:    -1, // no merge wait: see the report order below
 		Timeout:   10 * time.Second,
 		Snapshots: 2,
 	})
@@ -38,12 +38,16 @@ func TestCollectorSourceRoundTrip(t *testing.T) {
 	}
 	defer rc.Close()
 	// Out-of-order and split reports, as real agents produce: beacons send
-	// Sent immediately, sinks send Received on their own timer.
+	// Sent immediately, sinks send Received on their own timer. A snapshot
+	// completes once every path's Sent is merged, and with Settle -1 it is
+	// read at that instant. The collector merges one connection's reports
+	// in order, so snapshot 0's completing Sent goes last: both Received
+	// reports are merged before it.
 	reports := []emunet.Report{
 		{PathID: 1, Snapshot: 0, Sent: 100},
-		{PathID: 0, Snapshot: 0, Sent: 100},
 		{PathID: 0, Snapshot: 0, Received: 90},
 		{PathID: 1, Snapshot: 0, Received: 100},
+		{PathID: 0, Snapshot: 0, Sent: 100},
 		{PathID: 0, Snapshot: 1, Sent: 100, Received: 0}, // total loss
 		{PathID: 1, Snapshot: 1, Sent: 100, Received: 37},
 	}

@@ -3,9 +3,8 @@ package serve_test
 // world_soak_test.go is the regime-shift soak: liaserve's ingestion path
 // (supervised, sanitized background sources) fed by an in-process world
 // server through a scheduled congestion regime change. Windowed and decayed
-// engines must re-converge to the post-shift ground truth; a Watcher
-// snapped before the shift must flip Stale, provably miss the new regime
-// until RefreshIfStale, and match the engine after. Runs under -race in CI.
+// engines must re-converge to the post-shift ground truth while the served
+// state stays ready. Runs under -race in CI.
 
 import (
 	"context"
@@ -139,10 +138,6 @@ func TestWorldRegimeShiftSoak(t *testing.T) {
 	if preVars[vShared] > 1e-9 {
 		t.Fatalf("pre-shift variance of shared link = %g, want ~0 (uncongested world)", preVars[vShared])
 	}
-	watcher, err := engWin.Watch()
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	// Phase 2 — schedule a permanent 6x congest on the shared link in both
 	// scenarios. The world advances between Stats and Shift (the consumers
@@ -208,19 +203,6 @@ func TestWorldRegimeShiftSoak(t *testing.T) {
 		t.Fatalf("post-shift ground-truth regime for link %d = %g, want > 0.4 under 6x congest", shared, sharedRegime)
 	}
 
-	// The watcher snapped before the shift is stale, and its estimate
-	// provably does not track the new regime.
-	if !watcher.Stale() {
-		t.Fatal("watcher is not stale after 100+ post-shift snapshots")
-	}
-	staleVars, err := watcher.Variances()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if staleVars[vShared] > 1e-9 {
-		t.Fatalf("stale watcher variance for the congested link = %g, want pre-shift ~0", staleVars[vShared])
-	}
-
 	// Post-shift, the windowed engine's moments cover only the new regime:
 	// the congested link's variance is positive, the largest in the
 	// topology, and equal to replaying the window's exact input through a
@@ -259,23 +241,6 @@ func TestWorldRegimeShiftSoak(t *testing.T) {
 			t.Fatalf("link %d: windowed %g vs fresh-last-%d replay %g (Δ=%g)",
 				k, postVars[k], window, refVars[k], d)
 		}
-	}
-
-	// RefreshIfStale recovers: the watcher re-snaps the windowed moments
-	// and now agrees with the engine.
-	refreshed, err := watcher.RefreshIfStale()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !refreshed {
-		t.Fatal("RefreshIfStale did not refresh a stale watcher")
-	}
-	wVars, err := watcher.Variances()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := math.Abs(wVars[vShared] - postVars[vShared]); d > 1e-12+1e-8*postVars[vShared] {
-		t.Fatalf("refreshed watcher variance %g != engine %g", wVars[vShared], postVars[vShared])
 	}
 
 	// A cumulative engine over the full mixed stream does NOT converge to

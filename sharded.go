@@ -36,8 +36,6 @@ type Inferencer interface {
 	InferCongested(ctx context.Context, y []float64) ([]bool, *Result, error)
 	// Variances returns the Phase-1 per-link variance estimates.
 	Variances(ctx context.Context) ([]float64, error)
-	// Eliminated returns the Phase-2 kept/removed partition.
-	Eliminated(ctx context.Context) (kept, removed []int, err error)
 	// Steady returns one consistent steady-state learning view.
 	Steady(ctx context.Context) (*SteadyState, error)
 	// Stats reports observability counters.
@@ -144,8 +142,8 @@ func (sc *shardComponent) scatter(y []float64, dst []float64) []float64 {
 // Gram/Cholesky factorization and Phase-2 elimination cache — and the
 // components are grouped into shards that rebuild concurrently. Ingested
 // snapshots are scattered to the per-component accumulators; Infer,
-// Variances, Eliminated and Steady gather the per-component results back
-// into global link order.
+// Variances and Steady gather the per-component results back into global
+// link order.
 //
 // Phase 1's moment system and Phase 2's elimination never couple paths that
 // share no links, so the decomposition is exact: each component's estimates
@@ -637,17 +635,6 @@ func (e *ShardedEngine) Variances(ctx context.Context) ([]float64, error) {
 		return nil, err
 	}
 	return st.Variances, nil
-}
-
-// Eliminated returns the Phase-2 kept/removed partition in global link
-// order. A failed component's links appear in neither slice (they are
-// unresolved — see Steady).
-func (e *ShardedEngine) Eliminated(ctx context.Context) (kept, removed []int, err error) {
-	st, err := e.Steady(ctx)
-	if err != nil {
-		return nil, nil, err
-	}
-	return st.Kept, st.Removed, nil
 }
 
 // CheckIdentifiable verifies identifiability component by component; the

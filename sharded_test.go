@@ -448,16 +448,12 @@ func TestShardedErrorsAndStats(t *testing.T) {
 	if st.Rebuilds != uint64(se.NumComponents()) {
 		t.Fatalf("%d rebuilds after one warm-up, want %d", st.Rebuilds, se.NumComponents())
 	}
-	kept, removed, err := se.Eliminated(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(kept)+len(removed) != rm.NumLinks() {
-		t.Fatalf("kept %d + removed %d != %d links", len(kept), len(removed), rm.NumLinks())
-	}
 	steady, err := se.Steady(ctx)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(steady.Kept)+len(steady.Removed) != rm.NumLinks() {
+		t.Fatalf("kept %d + removed %d != %d links", len(steady.Kept), len(steady.Removed), rm.NumLinks())
 	}
 	if steady.Epoch != len(snaps) {
 		t.Fatalf("steady epoch %d, want %d", steady.Epoch, len(snaps))

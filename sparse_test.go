@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"lia"
-	"lia/internal/topology"
 )
 
 // TestIngestSparseValidation: malformed sparse snapshots are rejected with
@@ -311,108 +310,4 @@ func TestEngineStatsDeltaRebuilds(t *testing.T) {
 	t.Run("decay", func(t *testing.T) {
 		check(t, lia.WithDecay(0.9), func(int) uint64 { return 0 })
 	})
-}
-
-// TestWatcherComponentIsolation: on a disconnected topology, deactivating
-// every path of one component removes exactly that component's coverage —
-// the maintained normal equations of the other components are untouched, so
-// their variances hold to within the solver's regularization — and
-// reactivating restores
-// coverage with variances matching the original system to rounding.
-func TestWatcherComponentIsolation(t *testing.T) {
-	rm, snaps := disconnectedWorkload(t)
-	eng, err := lia.NewEngine(rm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, y := range snaps {
-		if err := eng.Ingest(y); err != nil {
-			t.Fatal(err)
-		}
-	}
-	w, err := eng.Watch()
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := w.Variances()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	part := topology.NewPartition(rm)
-	comp0 := part.Component(0)
-	comp0Link := make(map[int]bool, len(comp0.Links))
-	for _, kg := range comp0.Links {
-		comp0Link[kg] = true
-	}
-	for _, p := range comp0.Paths {
-		if err := w.Deactivate(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	covered := w.Covered()
-	for k, on := range covered {
-		if on == comp0Link[k] {
-			t.Fatalf("link %d: covered=%v after deactivating component 0 (in comp0: %v)", k, on, comp0Link[k])
-		}
-	}
-	vars, err := w.Variances()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The untouched components' equations are exactly as before; their
-	// solved variances can shift only through the solver's global
-	// regularization, i.e. far below estimation noise.
-	for k := range vars {
-		if comp0Link[k] {
-			continue
-		}
-		diff := vars[k] - base[k]
-		if diff < 0 {
-			diff = -diff
-		}
-		scale := base[k]
-		if scale < 0 {
-			scale = -scale
-		}
-		if scale < 1e-12 {
-			scale = 1e-12
-		}
-		if diff > 1e-9*scale {
-			t.Fatalf("link %d of an untouched component: variance moved %g -> %g on a foreign Deactivate",
-				k, base[k], vars[k])
-		}
-	}
-
-	for _, p := range comp0.Paths {
-		if err := w.Reactivate(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for k, on := range w.Covered() {
-		if !on {
-			t.Fatalf("link %d still uncovered after reactivating component 0", k)
-		}
-	}
-	restored, err := w.Variances()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := range restored {
-		diff := restored[k] - base[k]
-		if diff < 0 {
-			diff = -diff
-		}
-		scale := base[k]
-		if scale < 0 {
-			scale = -scale
-		}
-		if scale < 1e-12 {
-			scale = 1e-12
-		}
-		if diff > 1e-9*scale {
-			t.Fatalf("link %d: variance %g after deactivate/reactivate round trip, want %g (within rounding)",
-				k, restored[k], base[k])
-		}
-	}
 }

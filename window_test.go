@@ -51,6 +51,9 @@ func TestEngineWindowMatchesFresh(t *testing.T) {
 	if got := windowed.Snapshots(); got != total {
 		t.Fatalf("Snapshots = %d, want lifetime count %d", got, total)
 	}
+	if st := windowed.Stats(); st.Window != window {
+		t.Fatalf("Stats.Window = %d, want %d", st.Window, window)
+	}
 
 	fresh, err := lia.NewEngine(rm)
 	if err != nil {

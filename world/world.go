@@ -251,8 +251,11 @@ type World struct {
 	linkIdx map[int]int // id -> index into links
 
 	schedule []Event // all events ever scheduled, in scheduling order
-	tick     int     // next tick to be generated by Step
-	last     *Tick   // most recent Step result (nil before the first)
+	// linkEvents indexes the congest/flap events of schedule by physical
+	// link ID, each event at most once per link, in scheduling order.
+	linkEvents map[int][]int
+	tick       int   // next tick to be generated by Step
+	last       *Tick // most recent Step result (nil before the first)
 }
 
 // New builds a world over the given physical routes. paths[i] is the
@@ -269,9 +272,10 @@ func New(paths [][]int, cfg Config, schedule []Event) (*World, error) {
 		}
 	}
 	w := &World{
-		cfg:     cfg.withDefaults(),
-		seed:    cfg.Seed,
-		linkIdx: make(map[int]int),
+		cfg:        cfg.withDefaults(),
+		seed:       cfg.Seed,
+		linkIdx:    make(map[int]int),
+		linkEvents: make(map[int][]int),
 	}
 	w.paths = make([][]int, len(paths))
 	for i, p := range paths {
@@ -334,6 +338,15 @@ func (w *World) ScheduleEvent(ev Event) error {
 		// time — a mid-run reroute must not re-index the truth arrays.
 		w.ensureLink(rr)
 	}
+	if ev.Kind == KindCongest || ev.Kind == KindFlap {
+		idx := len(w.schedule)
+		for _, id := range ev.Links {
+			if l := w.linkEvents[id]; len(l) > 0 && l[len(l)-1] == idx {
+				continue // a link listed twice counts once
+			}
+			w.linkEvents[id] = append(w.linkEvents[id], idx)
+		}
+	}
 	w.schedule = append(w.schedule, ev)
 	return nil
 }
@@ -385,35 +398,25 @@ func (w *World) diurnal(t int) float64 {
 }
 
 // eventState aggregates the active events' effect on one link at tick t:
-// the combined congest load factor, and whether a flap pins the loss.
+// the combined congest load factor, and whether a flap pins the loss. It
+// walks only the events that list the link, in scheduling order.
 func (w *World) eventState(t, linkID int) (factor float64, flapping bool, flapLoss, flapDuty float64) {
 	factor = 1
-	for i := range w.schedule {
+	for _, i := range w.linkEvents[linkID] {
 		ev := &w.schedule[i]
 		if !ev.active(t) {
 			continue
 		}
 		switch ev.Kind {
 		case KindCongest:
-			for _, id := range ev.Links {
-				if id == linkID {
-					factor *= ev.Factor
-					break
-				}
-			}
+			factor *= ev.Factor
 		case KindFlap:
-			for _, id := range ev.Links {
-				if id != linkID {
-					continue
-				}
-				// Lossy during the first half of each cycle.
-				phase := (t - ev.Tick) % ev.Period
-				if phase < (ev.Period+1)/2 {
-					flapping, flapLoss = true, ev.Loss
-				}
-				flapDuty += ev.Loss * float64((ev.Period+1)/2) / float64(ev.Period)
-				break
+			// Lossy during the first half of each cycle.
+			phase := (t - ev.Tick) % ev.Period
+			if phase < (ev.Period+1)/2 {
+				flapping, flapLoss = true, ev.Loss
 			}
+			flapDuty += ev.Loss * float64((ev.Period+1)/2) / float64(ev.Period)
 		}
 	}
 	if flapDuty > 1 {
