@@ -786,9 +786,7 @@ func benchDeltaWorkload(b testing.TB) *topology.RoutingMatrix {
 //     delta folds run but must refold every shard;
 //   - dirty1: warm epoch where a sparse snapshot covers only component 0 —
 //     twenty-three components skip Phase-1 outright and only comp0's dirty
-//     pair shards refold. This is the sub-millisecond CI gate target;
-//   - rebalance: alldirty with the LPT rebalancer at theta=0, so every wave
-//     also pays cost-EWMA bookkeeping and a candidate-grouping evaluation.
+//     pair shards refold. This is the sub-millisecond CI gate target.
 //
 // Before timing, dirty1 asserts its sparse-fed component is bitwise-equal
 // to a standalone windowed engine fed the same rows; after timing it
@@ -810,13 +808,12 @@ func BenchmarkEngineDeltaRebuild(b *testing.B) {
 	// no incremental path; pin the cacheable normal-equations solver — the
 	// method any long-running deployment at scale resolves to — so the
 	// benchmark exercises the delta fold it exists to measure.
-	newEngine := func(b *testing.B, opts ...lia.Option) *lia.ShardedEngine {
+	newEngine := func(b *testing.B) *lia.ShardedEngine {
 		b.Helper()
-		se, err := lia.NewShardedEngine(rm, append([]lia.Option{
+		se, err := lia.NewShardedEngine(rm,
 			lia.WithShards(4),
 			lia.WithWindow(window),
-			lia.WithVarianceMethod(lia.VarianceNormalEquations),
-		}, opts...)...)
+			lia.WithVarianceMethod(lia.VarianceNormalEquations))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -971,20 +968,6 @@ func BenchmarkEngineDeltaRebuild(b *testing.B) {
 		}
 		if got := st.SkippedComponents - before.SkippedComponents; got != uint64(b.N*(ncomps-1)) {
 			b.Fatalf("skipped %d component rebuilds over %d warm epochs, want %d", got, b.N, b.N*(ncomps-1))
-		}
-	})
-
-	b.Run("rebalance", func(b *testing.B) {
-		se := newEngine(b, lia.WithRebalance(0))
-		warm(b, se)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := se.Ingest(pool[i%len(pool)]); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := se.Variances(ctx); err != nil {
-				b.Fatal(err)
-			}
 		}
 	})
 }

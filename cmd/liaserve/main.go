@@ -136,13 +136,12 @@ func run(args []string) error {
 		rebuildEvery    = fs.Int("rebuild-every", serve.DefaultRebuildEvery, "rebuild the served state after this many new snapshots (negative disables)")
 		rebuildInterval = fs.Duration("rebuild-interval", 5*time.Second, "also rebuild a stale state at least this often (0 disables)")
 
-		window    = fs.Int("window", 0, "sliding moment window in snapshots (0 = cumulative)")
-		decay     = fs.Float64("decay", 0, "exponential moment decay factor in (0,1] (0 = cumulative)")
-		workers   = fs.Int("workers", 0, "phase-1/phase-2 goroutines (0 = GOMAXPROCS)")
-		shards    = fs.Int("shards", 0, "topology shards rebuilding concurrently: 0 auto-shards disconnected topologies to GOMAXPROCS, 1 forces a single engine, k caps at k")
-		rebalance = fs.Float64("rebalance", 0.5, "sharded dynamic LPT rebalance hysteresis θ: re-group components across rebuild shards only when it cuts the estimated wave critical path by more than this fraction (negative disables)")
-		strategy  = fs.String("strategy", "paper", "phase-2 elimination: paper or greedy")
-		tl        = fs.Float64("tl", lia.DefaultThreshold, "congestion threshold")
+		window   = fs.Int("window", 0, "sliding moment window in snapshots (0 = cumulative)")
+		decay    = fs.Float64("decay", 0, "exponential moment decay factor in (0,1] (0 = cumulative)")
+		workers  = fs.Int("workers", 0, "phase-1/phase-2 goroutines (0 = GOMAXPROCS)")
+		shards   = fs.Int("shards", 0, "topology shards rebuilding concurrently: 0 auto-shards disconnected topologies to GOMAXPROCS, 1 forces a single engine, k caps at k")
+		strategy = fs.String("strategy", "paper", "phase-2 elimination: paper or greedy")
+		tl       = fs.Float64("tl", lia.DefaultThreshold, "congestion threshold")
 
 		settle      = fs.Duration("settle", 1500*time.Millisecond, "collector settle window after snapshot completion")
 		snapTimeout = fs.Duration("snapshot-timeout", 2*time.Minute, "collector per-snapshot completion timeout")
@@ -201,21 +200,11 @@ func run(args []string) error {
 	if *coordinator > 0 && len(topos) != 1 {
 		return errors.New("-coordinator requires exactly one -topo")
 	}
-	tlSet, rebalanceSet := false, false
-	fs.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "tl":
-			tlSet = true
-		case "rebalance":
-			rebalanceSet = true
-		}
-	})
+	tlSet := false
+	fs.Visit(func(f *flag.Flag) { tlSet = tlSet || f.Name == "tl" })
 
 	var opts []lia.Option
 	opts = append(opts, lia.WithWorkers(*workers), lia.WithShards(*shards))
-	if rebalanceSet {
-		opts = append(opts, lia.WithRebalance(*rebalance))
-	}
 	switch *strategy {
 	case "paper":
 	case "greedy":

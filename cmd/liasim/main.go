@@ -102,17 +102,14 @@ func main() {
 	}
 	cfg.Variance.Workers = *workers
 
-	which := strings.ToLower(*exp)
-	run := func(name string) {
-		if which != "all" && which != name {
-			return
-		}
+	names := []string{strings.ToLower(*exp)}
+	if names[0] == "all" {
+		names = []string{"fig3", "fig5", "fig6", "fig7", "fig8a", "fig8b", "table2", "fig9", "table3", "durations", "runtimes"}
+	}
+	for _, name := range names {
 		if err := runExperiment(name, cfg); err != nil {
 			fatalf("%s: %v", name, err)
 		}
-	}
-	for _, name := range []string{"fig3", "fig5", "fig6", "fig7", "fig8a", "fig8b", "table2", "fig9", "table3", "durations", "runtimes"} {
-		run(name)
 	}
 }
 

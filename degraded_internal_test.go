@@ -65,13 +65,16 @@ func TestEngineRecoversRebuildPanic(t *testing.T) {
 	}
 }
 
-func TestEngineStrictRebuildPanicSurfaces(t *testing.T) {
+// TestEngineFirstRebuildPanicSurfaces: an engine that has never built a
+// state has nothing to degrade to, so a panicking first rebuild fails the
+// query and the error keeps the panic value.
+func TestEngineFirstRebuildPanicSurfaces(t *testing.T) {
 	ctx := context.Background()
 	rm, err := NewTopology([]Path{{Beacon: 0, Dst: 1, Links: []int{1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewEngine(rm, WithStrictRebuilds())
+	eng, err := NewEngine(rm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +84,7 @@ func TestEngineStrictRebuildPanicSurfaces(t *testing.T) {
 	rebuildPanicHook = func() { panic("solver corrupted") }
 	defer func() { rebuildPanicHook = nil }()
 	if _, err := eng.Variances(ctx); err == nil {
-		t.Fatal("strict engine served through a panicking rebuild")
+		t.Fatal("an engine with no state served through a panicking rebuild")
 	} else if !strings.Contains(err.Error(), "solver corrupted") {
 		t.Fatalf("error %v lost the panic value", err)
 	}

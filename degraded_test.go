@@ -108,31 +108,6 @@ func TestEngineDegradesOnRebuildFailure(t *testing.T) {
 	}
 }
 
-func TestEngineStrictRebuildsFailFast(t *testing.T) {
-	ctx := context.Background()
-	eng, err := lia.NewEngine(sharedPairTopology(t),
-		lia.WithWindow(4), lia.WithNegCovPolicy(lia.NegDrop), lia.WithStrictRebuilds())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.IngestBatch(correlated); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Variances(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.IngestBatch(antiCorrelated); err != nil {
-		t.Fatal(err)
-	}
-	_, err = eng.Variances(ctx)
-	if !errors.Is(err, lia.ErrRebuildFailed) {
-		t.Fatalf("strict engine error = %v, want ErrRebuildFailed", err)
-	}
-	if !errors.Is(err, lia.ErrUnidentifiable) {
-		t.Fatalf("cause lost from the chain: %v", err)
-	}
-}
-
 func TestEngineRebuildFailureWithoutStateSurfaces(t *testing.T) {
 	ctx := context.Background()
 	eng, err := lia.NewEngine(sharedPairTopology(t),

@@ -68,9 +68,9 @@
 // components selectively so localized traffic dirties only the components
 // it names (ErrPartialComponent rejects partial coverage). Stats reports
 // the wave shape (DeltaRebuilds, DirtyComponents, DirtyShards,
-// SkippedComponents), and WithRebalance lets the sharded engine re-group
-// components across its rebuild shards as measured costs drift — moving no
-// state, so estimates stay bitwise-identical to a never-rebalanced run.
+// SkippedComponents). The sharded engine's shard layout is the static LPT
+// grouping of components by pair count, fixed at construction; it decides
+// only which components rebuild together, never an estimate.
 //
 // Measurement collection is decoupled from inference through the
 // SnapshotSource interface: NewSimSource streams synthetic campaigns from
@@ -97,7 +97,7 @@
 // rebuild path), the last successfully built epoch keeps serving and the
 // failure is recorded in Stats (Degraded, RebuildFailures, LastError,
 // StateAge). ErrRebuildFailed is returned only when there is no last-good
-// state to fall back on; WithStrictRebuilds restores fail-fast semantics.
+// state to fall back on.
 // A ShardedEngine degrades per component: a failing component marks only
 // its own links Unresolved while the others keep resolving normally.
 //

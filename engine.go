@@ -42,9 +42,9 @@ import (
 // does not take queries down with it. Once at least one state has been
 // built, Infer/Steady/Variances keep serving that last-good epoch while
 // every later query retries the rebuild; Stats reports the degradation
-// (Degraded, RebuildFailures, LastError, StateAge). WithStrictRebuilds
-// restores fail-fast semantics. Only an engine that has never built a
-// state surfaces the failure, wrapped in ErrRebuildFailed.
+// (Degraded, RebuildFailures, LastError, StateAge). Only an engine that
+// has never built a state surfaces the failure, wrapped in
+// ErrRebuildFailed.
 //
 // Construct with NewEngine; the zero value is not usable.
 type Engine struct {
@@ -56,7 +56,6 @@ type Engine struct {
 	// WithDecay) for observability; the acc itself enforces it.
 	window int
 	decay  float64
-	strict bool // WithStrictRebuilds: fail queries instead of degrading
 
 	mu    sync.Mutex // guards acc and the epoch advance
 	acc   stats.MomentAccumulator
@@ -118,7 +117,6 @@ func NewEngine(rm *RoutingMatrix, options ...Option) (*Engine, error) {
 		p1:     core.NewPhase1(rm, s.opts.Variance),
 		window: s.window,
 		decay:  s.effectiveDecay(),
-		strict: s.strict,
 		acc:    acc,
 	}, nil
 }
@@ -319,7 +317,7 @@ func (e *Engine) currentState(ctx context.Context) (*phaseState, error) {
 		}
 		e.rebuildFailures.Add(1)
 		e.lastFailure.Store(&rebuildFailure{err: err, at: time.Now(), epoch: epoch})
-		if prev := e.state.Load(); prev != nil && !e.strict {
+		if prev := e.state.Load(); prev != nil {
 			e.degraded.Store(true)
 			return prev, nil
 		}

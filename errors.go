@@ -44,7 +44,7 @@ var ErrPartialComponent = errors.New("lia: sparse snapshot must cover complete c
 // previously built state exists to fall back on. Engines that have served
 // at least one epoch degrade instead — queries keep answering from the
 // last-good state (see Stats.Degraded) — so this sentinel only surfaces
-// when there is nothing to serve at all, or under WithStrictRebuilds. The
-// wrapped chain keeps the underlying cause, so errors.Is(err,
-// ErrUnidentifiable) etc. still work through it.
+// when there is nothing to serve at all. The wrapped chain keeps the
+// underlying cause, so errors.Is(err, ErrUnidentifiable) etc. still work
+// through it.
 var ErrRebuildFailed = errors.New("lia: rebuild failed")

@@ -83,10 +83,6 @@ type Stats struct {
 	// advanced — each skip avoids a Phase-1 solve and reuses the cached
 	// elimination outright (0 for a plain Engine).
 	SkippedComponents uint64
-	// Rebalances counts dynamic LPT re-groupings of a ShardedEngine's
-	// components across its rebuild shards (see WithRebalance; 0 for a
-	// plain Engine).
-	Rebalances uint64
 }
 
 // SteadyState is one consistent view of an engine's cached learning state

@@ -65,11 +65,9 @@ type Lab struct {
 	scen    *lossmodel.Scenario
 	rng     *rand.Rand
 	routers []RouterInfo
-	ifOwner map[uint32]int // interface address -> router node
 	snap    int
 	mu      sync.Mutex
 	history [][]float64 // per snapshot: per-path received fraction
-	rates   [][]float64 // per snapshot: per-physical-link assigned rates (indexed by edge ID)
 }
 
 // NewLab builds and starts the whole deployment. The paths must come from
@@ -86,7 +84,6 @@ func NewLab(network *topogen.Network, paths []topology.Path, cfg LabConfig) (*La
 		sinks:   make(map[int]*Sink),
 		beacons: make(map[int]*Beacon),
 		rng:     rand.New(rand.NewPCG(cfg.Seed, 0x1AB)),
-		ifOwner: make(map[uint32]int),
 	}
 	// Ground-truth scenario over physical links (edge IDs).
 	lab.scen = lossmodel.NewScenario(cfg.Loss, lab.rng, network.G.NumEdges())
@@ -101,7 +98,6 @@ func NewLab(network *topogen.Network, paths []topology.Path, cfg LabConfig) (*La
 		for i := 0; i < n; i++ {
 			addr := uint32(node)*16 + uint32(i) + 1
 			info.Interfaces = append(info.Interfaces, addr)
-			lab.ifOwner[addr] = node
 		}
 		lab.routers = append(lab.routers, info)
 	}
@@ -204,10 +200,6 @@ func (l *Lab) RunSnapshot() ([]float64, error) {
 		l.scen.Advance()
 		l.core.SetRates(l.currentRates())
 	}
-	l.mu.Lock()
-	l.rates = append(l.rates, append([]float64(nil), l.scen.Rates()...))
-	l.mu.Unlock()
-
 	// Beacons probe their paths concurrently by default (one goroutine per
 	// beacon, as each PlanetLab host probed independently), paths
 	// sequentially within a beacon to respect the per-host rate limit.
@@ -293,15 +285,6 @@ func (l *Lab) History() [][]float64 {
 	return out
 }
 
-// AssignedRates returns the ground-truth physical-link rates per snapshot.
-func (l *Lab) AssignedRates() [][]float64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([][]float64, len(l.rates))
-	copy(out, l.rates)
-	return out
-}
-
 // Discover runs traceroute over every path and reconstructs the measured
 // topology: hops become canonical interface addresses (after alias
 // resolution), silent routers become synthetic anonymous nodes, and each
@@ -349,13 +332,6 @@ func (l *Lab) Discover() ([]topology.Path, error) {
 		out = append(out, dp)
 	}
 	return out, nil
-}
-
-// InterfaceOwner resolves an interface address to its true router node
-// (the lab-side equivalent of the RouteViews BGP mapping used for Table 3).
-func (l *Lab) InterfaceOwner(iface uint32) (int, bool) {
-	n, ok := l.ifOwner[iface]
-	return n, ok
 }
 
 // Close tears the deployment down.

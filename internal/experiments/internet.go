@@ -15,19 +15,6 @@ import (
 // DefaultEpsilon is the paper's cross-validation tolerance (Section 7.1).
 const DefaultEpsilon = 0.005
 
-// logRates converts received fractions to log transmission rates, clamping
-// zeros to half a probe out of S.
-func logRates(frac []float64, probes int) []float64 {
-	y := make([]float64, len(frac))
-	for i, f := range frac {
-		if f <= 0 {
-			f = 0.5 / float64(probes)
-		}
-		y[i] = math.Log(f)
-	}
-	return y
-}
-
 // CrossValidate implements the indirect validation of Section 7.2.1 on one
 // snapshot series: the paths are split randomly in half, LIA runs on the
 // inference half (learning from the first m snapshots, inferring on

@@ -75,10 +75,6 @@ func (g *Digraph) Edge(id int) Edge {
 // not modify it.
 func (g *Digraph) OutEdges(n int) []int { return g.out[n] }
 
-// InEdges returns the IDs of edges entering node n. The slice is shared; do
-// not modify it.
-func (g *Digraph) InEdges(n int) []int { return g.in[n] }
-
 // OutDegree returns the out-degree of node n.
 func (g *Digraph) OutDegree(n int) int { return len(g.out[n]) }
 

@@ -201,17 +201,6 @@ func (m *Dense) T() *Dense {
 	return t
 }
 
-// AddMat adds b elementwise: m += b. It is the merge step of the sharded
-// Gram accumulation.
-func (m *Dense) AddMat(b *Dense) {
-	if m.rows != b.rows || m.cols != b.cols {
-		panic(fmt.Sprintf("linalg: AddMat %d×%d += %d×%d", m.rows, m.cols, b.rows, b.cols))
-	}
-	for i, v := range b.data {
-		m.data[i] += v
-	}
-}
-
 // MaxAbs returns the largest absolute entry (0 for an empty matrix).
 func (m *Dense) MaxAbs() float64 {
 	var mx float64

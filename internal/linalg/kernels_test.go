@@ -139,31 +139,6 @@ func TestBlockedTransposeMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestAddMat(t *testing.T) {
-	rng := rand.New(rand.NewPCG(11, 12))
-	a, b := randMat(rng, 9, 13), randMat(rng, 9, 13)
-	want := NewDense(9, 13)
-	for i := 0; i < 9; i++ {
-		for j := 0; j < 13; j++ {
-			want.Set(i, j, a.At(i, j)+b.At(i, j))
-		}
-	}
-	a.AddMat(b)
-	for i := 0; i < 9; i++ {
-		for j := 0; j < 13; j++ {
-			if a.At(i, j) != want.At(i, j) {
-				t.Fatalf("AddMat[%d,%d] = %g, want %g", i, j, a.At(i, j), want.At(i, j))
-			}
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AddMat with mismatched shapes should panic")
-		}
-	}()
-	a.AddMat(NewDense(2, 2))
-}
-
 func TestCholeskySolveToReuse(t *testing.T) {
 	// Repeated SolveTo calls through the shared workspace must match Solve.
 	rng := rand.New(rand.NewPCG(13, 14))

@@ -384,17 +384,6 @@ func intersectRows32(a, b []int, dst []int32) []int32 {
 	return dst
 }
 
-// LossOnPath aggregates per-physical-link transmission rates into
-// per-virtual-link transmission rates (product over members) and returns the
-// end-to-end transmission rate of path i.
-func (rm *RoutingMatrix) LossOnPath(i int, linkTransmission func(physical int) float64) float64 {
-	t := 1.0
-	for _, l := range rm.paths[i].Links {
-		t *= linkTransmission(l)
-	}
-	return t
-}
-
 // VirtualRates folds per-physical-link mean loss rates into per-virtual-link
 // loss rates: the loss rate of a virtual link is the complement of the
 // product of its members' transmission rates.

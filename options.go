@@ -71,35 +71,13 @@ const DefaultThreshold = core.CongestionThreshold
 // settings is the private option sink; Option values are only constructible
 // through the With* functions, keeping the surface closed for extension.
 type settings struct {
-	opts         core.Options
-	window       int
-	decay        float64
-	decaySet     bool
-	shards       int
-	strict       bool
-	durDir       string
-	dur          DurabilityOptions
-	rebalance    float64
-	rebalanceSet bool
-}
-
-// defaultRebalanceTheta is the hysteresis threshold dynamic LPT rebalancing
-// uses when WithRebalance was not given: a regrouping must cut the
-// estimated critical-path cost of a rebuild wave by more than 50% before
-// the sharded engine adopts it, so measurement noise never causes layout
-// churn.
-const defaultRebalanceTheta = 0.5
-
-// effectiveRebalance resolves the rebalance hysteresis: the configured θ, the
-// conservative default when unset, or -1 (disabled) for negative settings.
-func (s *settings) effectiveRebalance() float64 {
-	if !s.rebalanceSet {
-		return defaultRebalanceTheta
-	}
-	if s.rebalance < 0 {
-		return -1
-	}
-	return s.rebalance
+	opts     core.Options
+	window   int
+	decay    float64
+	decaySet bool
+	shards   int
+	durDir   string
+	dur      DurabilityOptions
 }
 
 // newAccumulator builds the moment accumulator the options select:
@@ -203,15 +181,6 @@ func WithShards(k int) Option {
 	return func(s *settings) { s.shards = k }
 }
 
-// WithStrictRebuilds disables degraded-mode serving: a failed or panicking
-// Phase-1 rebuild fails the query (wrapped in ErrRebuildFailed) instead of
-// answering from the last successfully built state. Use it in batch and
-// test contexts where a stale answer is worse than no answer; long-running
-// services generally want the default degraded behaviour (see Engine).
-func WithStrictRebuilds() Option {
-	return func(s *settings) { s.strict = true }
-}
-
 // WithDurability makes the engine New returns durable: ingested snapshots
 // append to a write-ahead log under dir before they fold into the moments,
 // checkpoints of the full moment state land there periodically, and
@@ -225,24 +194,6 @@ func WithStrictRebuilds() Option {
 // wrap them explicitly if needed.
 func WithDurability(dir string, o DurabilityOptions) Option {
 	return func(s *settings) { s.durDir, s.dur = dir, o }
-}
-
-// WithRebalance tunes the sharded engine's dynamic LPT rebalancing: after
-// rebuild waves the engine re-groups its components across the fixed number
-// of concurrent rebuild shards by measured per-component rebuild cost
-// (an EWMA of observed rebuild durations — which windowed or decayed
-// moments shift as regimes change), adopting a new LPT grouping only when
-// it would cut the estimated critical-path cost of a wave by more than the
-// hysteresis fraction theta. Regrouping moves no state — components keep
-// their accumulators, factorizations and elimination caches, only their
-// shard assignment changes — so every estimate is bitwise-identical to a
-// never-rebalanced engine (Checkpoint moment state included; only the
-// wall-clock rebuild timestamps recorded in checkpoints can differ).
-// theta = 0 adopts any
-// strict improvement; a negative theta disables rebalancing; unset defaults
-// to 0.5. Plain engines ignore the option.
-func WithRebalance(theta float64) Option {
-	return func(s *settings) { s.rebalance, s.rebalanceSet = theta, true }
 }
 
 // WithDecay exponentially decays the engine's second-order moments: before

@@ -133,13 +133,12 @@ type TopoStatus struct {
 
 	// The O(delta) steady-state block mirrors the incremental-rebuild
 	// fields of lia.Stats: how many rebuilds ran the dirty-shard delta
-	// fold, the shard/component work of the most recent wave, the lifetime
-	// count of skipped component rebuilds, and adopted LPT rebalances.
+	// fold, the shard/component work of the most recent wave, and the
+	// lifetime count of skipped component rebuilds.
 	DeltaRebuilds     uint64 `json:"delta_rebuilds"`
 	DirtyShards       int    `json:"dirty_shards"`
 	DirtyComponents   int    `json:"dirty_components,omitempty"`
 	SkippedComponents uint64 `json:"skipped_components,omitempty"`
-	Rebalances        uint64 `json:"rebalances,omitempty"`
 
 	Degraded           bool    `json:"degraded"`
 	DegradedComponents int     `json:"degraded_components,omitempty"`
@@ -437,7 +436,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 			DirtyShards:       st.DirtyShards,
 			DirtyComponents:   st.DirtyComponents,
 			SkippedComponents: st.SkippedComponents,
-			Rebalances:        st.Rebalances,
 
 			Degraded:           st.Degraded,
 			DegradedComponents: st.DegradedComponents,

@@ -61,8 +61,6 @@ var metricDefs = []metricDef{
 		func(m *topoMetrics) float64 { return float64(m.st.DirtyComponents) }},
 	{"liaserve_rebuild_skipped_components", "Components whose Phase-1 rebuild was skipped because their moments were untouched.", "counter",
 		func(m *topoMetrics) float64 { return float64(m.st.SkippedComponents) }},
-	{"liaserve_rebalances_total", "Dynamic LPT re-groupings of sharded components across rebuild shards.", "counter",
-		func(m *topoMetrics) float64 { return float64(m.st.Rebalances) }},
 	{"liaserve_rebuild_failures_total", "Phase-1 rebuild attempts that failed or panicked.", "counter",
 		func(m *topoMetrics) float64 { return float64(m.st.RebuildFailures) }},
 	{"liaserve_degraded", "1 while the engine serves its last-good state through rebuild failures.", "gauge",

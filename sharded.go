@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -161,24 +160,17 @@ type ShardedEngine struct {
 	comps []*shardComponent
 	links [][]int // per component: local virtual link -> global virtual link
 
-	// groups holds the component indices of each concurrent rebuild group.
-	// It is behind an atomic pointer because dynamic LPT rebalancing (see
-	// WithRebalance) swaps in a new grouping between rebuild waves; the
-	// group count never changes, only the assignment.
-	groups atomic.Pointer[[][]int]
+	// groups holds the component indices of each concurrent rebuild group:
+	// the static LPT grouping of Partition.Shards, fixed at construction.
+	groups [][]int
 
 	threshold float64
 	window    int
 	decay     float64
-	rebTheta  float64 // LPT rebalance hysteresis; negative = disabled
 
 	mu        sync.Mutex // serialises ingestion so every component sees the same order
 	epoch     atomic.Uint64
 	sparsePos []int // IngestSparse scratch: global path -> snapshot position (-1 idle); under mu
-
-	rebMu      sync.Mutex // guards rebCost and regrouping decisions
-	rebCost    []float64  // per-component rebuild-cost EWMA (ns); 0 = never measured
-	rebalances atomic.Uint64
 
 	// Most-recent-rebuild-wave gauges and the lifetime skip counter behind
 	// Stats.DirtyComponents / DirtyShards / SkippedComponents.
@@ -216,15 +208,12 @@ func newShardedEngine(rm *RoutingMatrix, part *topology.Partition, s *settings, 
 		k = runtime.GOMAXPROCS(0)
 	}
 	e := &ShardedEngine{
-		rm:       rm,
-		part:     part,
-		comps:    make([]*shardComponent, part.NumComponents()),
-		links:    make([][]int, part.NumComponents()),
-		rebTheta: s.effectiveRebalance(),
-		rebCost:  make([]float64, part.NumComponents()),
+		rm:     rm,
+		part:   part,
+		comps:  make([]*shardComponent, part.NumComponents()),
+		links:  make([][]int, part.NumComponents()),
+		groups: part.Shards(k),
 	}
-	groups := part.Shards(k)
-	e.groups.Store(&groups)
 	for c := range e.comps {
 		sub, links, err := part.ComponentMatrix(c)
 		if err != nil {
@@ -253,21 +242,8 @@ func (e *ShardedEngine) RoutingMatrix() *RoutingMatrix { return e.rm }
 // Partition returns the topology decomposition behind the engine.
 func (e *ShardedEngine) Partition() *topology.Partition { return e.part }
 
-// NumShards returns the number of concurrent rebuild groups. Rebalancing
-// regroups components across the shards but never changes their count.
-func (e *ShardedEngine) NumShards() int { return len(*e.groups.Load()) }
-
-// ShardGroups returns the current component-index grouping of the rebuild
-// shards — one slice of component indices per concurrent group, in the
-// order dynamic rebalancing last left them. The result is a copy.
-func (e *ShardedEngine) ShardGroups() [][]int {
-	cur := *e.groups.Load()
-	out := make([][]int, len(cur))
-	for i, g := range cur {
-		out[i] = append([]int(nil), g...)
-	}
-	return out
-}
+// NumShards returns the number of concurrent rebuild groups.
+func (e *ShardedEngine) NumShards() int { return len(e.groups) }
 
 // NumComponents returns the number of link-connected components.
 func (e *ShardedEngine) NumComponents() int { return len(e.comps) }
@@ -423,19 +399,18 @@ func (e *ShardedEngine) IngestSparse(paths []int, y []float64) error {
 // slice holds each component's error (nil on success) in component-index
 // order, deterministically.
 func (e *ShardedEngine) runComponents(fn func(c int, sc *shardComponent) error) []error {
-	groups := *e.groups.Load()
 	before := make([]uint64, len(e.comps))
 	for c, sc := range e.comps {
 		before[c] = sc.eng.rebuilds.Load()
 	}
 	errs := make([]error, len(e.comps))
-	if len(groups) == 1 {
-		for _, c := range groups[0] {
+	if len(e.groups) == 1 {
+		for _, c := range e.groups[0] {
 			errs[c] = fn(c, e.comps[c])
 		}
 	} else {
 		var wg sync.WaitGroup
-		for _, shard := range groups {
+		for _, shard := range e.groups {
 			wg.Add(1)
 			go func(shard []int) {
 				defer wg.Done()
@@ -446,18 +421,17 @@ func (e *ShardedEngine) runComponents(fn func(c int, sc *shardComponent) error) 
 		}
 		wg.Wait()
 	}
-	e.observeWave(groups, before)
+	e.observeWave(before)
 	return errs
 }
 
 // observeWave inspects which components rebuilt during one runComponents
-// pass: it publishes the dirty-component and dirty-shard gauges, counts the
-// untouched components that skipped Phase-1 outright, refreshes the
-// rebuild-cost EWMAs and gives the LPT rebalancer a chance to regroup.
-// Passes where nothing rebuilt (warm gathers over unchanged epochs) leave
-// everything untouched, so the gauges always describe the most recent wave
-// that did rebuild work.
-func (e *ShardedEngine) observeWave(groups [][]int, before []uint64) {
+// pass: it publishes the dirty-component and dirty-shard gauges and counts
+// the untouched components that skipped Phase-1 outright. Passes where
+// nothing rebuilt (warm gathers over unchanged epochs) leave everything
+// untouched, so the gauges always describe the most recent wave that did
+// rebuild work.
+func (e *ShardedEngine) observeWave(before []uint64) {
 	dirty := 0
 	var rebuilt []bool
 	for c, sc := range e.comps {
@@ -473,7 +447,7 @@ func (e *ShardedEngine) observeWave(groups [][]int, before []uint64) {
 		return
 	}
 	dirtyGroups := 0
-	for _, g := range groups {
+	for _, g := range e.groups {
 		for _, c := range g {
 			if rebuilt[c] {
 				dirtyGroups++
@@ -484,97 +458,6 @@ func (e *ShardedEngine) observeWave(groups [][]int, before []uint64) {
 	e.waveDirtyComponents.Store(int64(dirty))
 	e.waveDirtyShards.Store(int64(dirtyGroups))
 	e.skippedComponents.Add(uint64(len(e.comps) - dirty))
-	e.maybeRebalance(groups, rebuilt)
-}
-
-// rebalanceEWMA is the smoothing factor of the per-component rebuild-cost
-// estimate: cost ← 0.7·cost + 0.3·observed. Heavy smoothing so one outlier
-// rebuild (a cold factorization, a GC pause) cannot flip the layout.
-const rebalanceEWMA = 0.7
-
-// maybeRebalance updates the measured per-component rebuild costs from the
-// wave that just finished and re-groups the components across the rebuild
-// shards when a fresh LPT grouping over those costs would cut the estimated
-// critical path of a wave by more than the hysteresis fraction rebTheta.
-// Costs are measured, not static: windowed or decayed moments shifting a
-// component's regime (delta folds turning into full folds, elimination
-// caches missing) show up in its rebuild durations and eventually in the
-// layout. Regrouping moves no component state — accumulators, cached
-// factorizations and elimination caches stay put; only the shard assignment
-// changes — so results and Checkpoint bytes are identical to a
-// never-rebalanced engine.
-func (e *ShardedEngine) maybeRebalance(groups [][]int, rebuilt []bool) {
-	if e.rebTheta < 0 || len(groups) >= len(e.comps) || len(groups) < 2 {
-		return
-	}
-	e.rebMu.Lock()
-	defer e.rebMu.Unlock()
-	for c, sc := range e.comps {
-		last := float64(sc.eng.lastRebuildNano.Load())
-		if last <= 0 {
-			continue
-		}
-		switch {
-		case e.rebCost[c] == 0:
-			// First measurement (or one recorded before tracking began).
-			e.rebCost[c] = last
-		case rebuilt[c]:
-			e.rebCost[c] = rebalanceEWMA*e.rebCost[c] + (1-rebalanceEWMA)*last
-		}
-	}
-	for _, w := range e.rebCost {
-		if w == 0 {
-			return // rebalance only once every component has a measured cost
-		}
-	}
-	cand := lptGroups(e.rebCost, len(groups))
-	if maxGroupCost(cand, e.rebCost)*(1+e.rebTheta) < maxGroupCost(groups, e.rebCost) {
-		e.groups.Store(&cand)
-		e.rebalances.Add(1)
-	}
-}
-
-// lptGroups is longest-processing-time grouping over measured costs:
-// components in descending cost order (ties by index) each join the
-// currently lightest group (ties by group index). The same deterministic
-// heuristic as topology.Partition.Shards, but over observed rebuild
-// durations instead of static pair counts.
-func lptGroups(cost []float64, k int) [][]int {
-	order := make([]int, len(cost))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return cost[order[a]] > cost[order[b]] })
-	groups := make([][]int, k)
-	load := make([]float64, k)
-	for _, c := range order {
-		g := 0
-		for i := 1; i < k; i++ {
-			if load[i] < load[g] {
-				g = i
-			}
-		}
-		groups[g] = append(groups[g], c)
-		load[g] += cost[c]
-	}
-	return groups
-}
-
-// maxGroupCost is the estimated critical path of one rebuild wave under a
-// grouping: the heaviest group's total cost — components within a group
-// run sequentially, groups run concurrently.
-func maxGroupCost(groups [][]int, cost []float64) float64 {
-	m := 0.0
-	for _, g := range groups {
-		t := 0.0
-		for _, c := range g {
-			t += cost[c]
-		}
-		if t > m {
-			m = t
-		}
-	}
-	return m
 }
 
 // Infer runs Phase 2 on one snapshot of per-path observations: each shard
@@ -582,9 +465,8 @@ func maxGroupCost(groups [][]int, cost []float64) float64 {
 // results gather back into global link order (core.MergeResults).
 // Eliminated links report 0, exactly as with Engine.Infer. Component
 // failures are isolated: a component whose solve fails (one that never
-// built a Phase-1 state, or a strict engine in a bad regime) marks only its
-// own links Unresolved, and only a gather in which every component fails
-// returns an error.
+// built a Phase-1 state) marks only its own links Unresolved, and only a
+// gather in which every component fails returns an error.
 func (e *ShardedEngine) Infer(ctx context.Context, y []float64) (*Result, error) {
 	if err := checkDim(e.rm, y); err != nil {
 		return nil, err
@@ -668,7 +550,6 @@ func (e *ShardedEngine) Stats() Stats {
 		DirtyComponents:   int(e.waveDirtyComponents.Load()),
 		DirtyShards:       int(e.waveDirtyShards.Load()),
 		SkippedComponents: e.skippedComponents.Load(),
-		Rebalances:        e.rebalances.Load(),
 	}, comps)
 	for _, cs := range comps {
 		if cs.LastFailure.After(s.LastFailure) {
