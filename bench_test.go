@@ -736,12 +736,9 @@ func BenchmarkShardedEngineRebuild(b *testing.B) {
 	b.Run("sharded", bench(se4))
 }
 
-// benchDeltaWorkload builds the steady-state delta target: twenty-four
-// link-disjoint 25-path trees in one 600-path routing matrix. Many small
-// components is the serving regime the O(delta) path exists for — beacon
-// domains mostly quiet, traffic localized — so an epoch that touches one
-// component can skip twenty-three.
-func benchDeltaWorkload(b testing.TB) *topology.RoutingMatrix {
+// benchWindowedWorkload builds the windowed-rebuild target: twenty-four
+// link-disjoint 25-path trees in one 600-path routing matrix.
+func benchWindowedWorkload(b testing.TB) *topology.RoutingMatrix {
 	b.Helper()
 	const comps, compPaths = 24, 25
 	var paths []topology.Path
@@ -775,24 +772,17 @@ func benchDeltaWorkload(b testing.TB) *topology.RoutingMatrix {
 	return rm
 }
 
-// BenchmarkEngineDeltaRebuild measures the O(delta) steady-state epoch at
-// the 600-path scale (24 components of 25 paths), with windowed moments
-// (constant divisor — the regime the incremental RHS fold exists for):
+// BenchmarkEngineWindowedRebuild measures one sharded rebuild wave at the
+// 600-path scale (24 components of 25 paths), with windowed moments:
 //
 //   - cold: a from-scratch rebuild wave — full Phase-1 fold, Cholesky and
 //     elimination for all twenty-four components (engine construction and
 //     window fill are excluded from the timing);
-//   - alldirty: warm epoch where a full snapshot dirties every component —
-//     delta folds run but must refold every shard;
-//   - dirty1: warm epoch where a sparse snapshot covers only component 0 —
-//     twenty-three components skip Phase-1 outright and only comp0's dirty
-//     pair shards refold. This is the sub-millisecond CI gate target.
-//
-// Before timing, dirty1 asserts its sparse-fed component is bitwise-equal
-// to a standalone windowed engine fed the same rows; after timing it
-// asserts the wave really skipped the untouched components.
-func BenchmarkEngineDeltaRebuild(b *testing.B) {
-	rm := benchDeltaWorkload(b)
+//   - warm: one snapshot plus the rebuild wave it triggers — every
+//     component refolds its Phase-1 right-hand side against its cached
+//     Cholesky factor.
+func BenchmarkEngineWindowedRebuild(b *testing.B) {
+	rm := benchWindowedWorkload(b)
 	ctx := context.Background()
 	const window = 64
 	pool := make([][]float64, 128) // distinct snapshots so every epoch moves the window
@@ -804,10 +794,10 @@ func BenchmarkEngineDeltaRebuild(b *testing.B) {
 		}
 		pool[t] = y
 	}
-	// At 25 paths per component VarianceAuto would pick dense QR, which has
-	// no incremental path; pin the cacheable normal-equations solver — the
-	// method any long-running deployment at scale resolves to — so the
-	// benchmark exercises the delta fold it exists to measure.
+	// At 25 paths per component VarianceAuto would pick dense QR, which
+	// caches no factor; pin the cacheable normal-equations solver — the
+	// method any long-running deployment at scale resolves to — so warm
+	// waves reuse the Cholesky factor.
 	newEngine := func(b *testing.B) *lia.ShardedEngine {
 		b.Helper()
 		se, err := lia.NewShardedEngine(rm,
@@ -848,7 +838,7 @@ func BenchmarkEngineDeltaRebuild(b *testing.B) {
 		}
 	})
 
-	b.Run("alldirty", func(b *testing.B) {
+	b.Run("warm", func(b *testing.B) {
 		se := newEngine(b)
 		warm(b, se)
 		b.ReportAllocs()
@@ -859,115 +849,6 @@ func BenchmarkEngineDeltaRebuild(b *testing.B) {
 			if _, err := se.Variances(ctx); err != nil {
 				b.Fatal(err)
 			}
-		}
-		b.StopTimer()
-		if st := se.Stats(); st.DeltaRebuilds == 0 {
-			b.Fatal("windowed warm epochs never took the delta fold")
-		}
-	})
-
-	b.Run("dirty1", func(b *testing.B) {
-		se := newEngine(b)
-		part := topology.NewPartition(rm)
-		ncomps := part.NumComponents()
-		comp0 := part.Component(0)
-		// Steady-state traffic localized to one beacon domain: every epoch
-		// delivers fresh rows for component 0's paths only, so the other
-		// twenty-three components skip Phase-1 (and Phase-2) outright and
-		// comp0 pays one small delta fold plus its own solve.
-		sub := make([]float64, len(comp0.Paths))
-		variant := func(t int) []float64 {
-			hrng := rand.New(rand.NewPCG(45, uint64(t)))
-			for pl := range sub {
-				sub[pl] = -1e-4 * hrng.Float64()
-			}
-			return sub
-		}
-		sparse := func(b *testing.B, t int) {
-			b.Helper()
-			if err := se.IngestSparse(comp0.Paths, variant(t)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		// Parity: the sparse-fed component must stay bitwise-equal to a
-		// standalone windowed engine over its paths alone.
-		cpaths := make([]lia.Path, len(comp0.Paths))
-		for pl, pg := range comp0.Paths {
-			cpaths[pl] = rm.Path(pg)
-		}
-		crm, err := lia.NewTopology(cpaths)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ref, err := lia.NewEngine(crm,
-			lia.WithWindow(window), lia.WithVarianceMethod(lia.VarianceNormalEquations))
-		if err != nil {
-			b.Fatal(err)
-		}
-		refIngest := func(b *testing.B, y []float64) {
-			b.Helper()
-			proj := make([]float64, len(comp0.Paths))
-			for pl, pg := range comp0.Paths {
-				proj[pl] = y[pg]
-			}
-			if err := ref.Ingest(proj); err != nil {
-				b.Fatal(err)
-			}
-		}
-		for t := 0; t < window; t++ {
-			if err := se.Ingest(pool[t%len(pool)]); err != nil {
-				b.Fatal(err)
-			}
-			refIngest(b, pool[t%len(pool)])
-		}
-		if _, err := se.Variances(ctx); err != nil {
-			b.Fatal(err)
-		}
-		for t := 0; t < 3; t++ {
-			sparse(b, t)
-			if err := ref.Ingest(sub); err != nil {
-				b.Fatal(err)
-			}
-		}
-		vars, err := se.Variances(ctx)
-		if err != nil {
-			b.Fatal(err)
-		}
-		want, err := ref.Variances(ctx)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for kl := 0; kl < crm.NumLinks(); kl++ {
-			kg, ok := rm.VirtualOf(crm.Members(kl)[0])
-			if !ok {
-				b.Fatalf("component link %d lost its global identity", kl)
-			}
-			if vars[kg] != want[kl] {
-				b.Fatalf("link %d: sparse-fed %g != reference %g (not bitwise identical)", kg, vars[kg], want[kl])
-			}
-		}
-		before := se.Stats()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			sparse(b, 3+i)
-			if _, err := se.Variances(ctx); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		st := se.Stats()
-		if st.DirtyComponents != 1 {
-			b.Fatalf("DirtyComponents = %d, want 1 (%d components must skip)", st.DirtyComponents, ncomps-1)
-		}
-		if st.DirtyShards != 1 {
-			b.Fatalf("DirtyShards = %d, want 1 rebuild group of 4", st.DirtyShards)
-		}
-		if got := st.DeltaRebuilds - before.DeltaRebuilds; got != uint64(b.N) {
-			b.Fatalf("delta fold ran on %d of %d warm epochs", got, b.N)
-		}
-		if got := st.SkippedComponents - before.SkippedComponents; got != uint64(b.N*(ncomps-1)) {
-			b.Fatalf("skipped %d component rebuilds over %d warm epochs, want %d", got, b.N, b.N*(ncomps-1))
 		}
 	})
 }

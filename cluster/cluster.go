@@ -210,13 +210,8 @@ type ComponentState struct {
 	Rebuilds        uint64 `json:"rebuilds"`
 	ElimReuses      uint64 `json:"elim_reuses"`
 	RebuildFailures uint64 `json:"rebuild_failures,omitempty"`
-	// DeltaRebuilds and DirtyShards surface the component engine's
-	// incremental Phase-1 telemetry: rebuilds that refolded only dirty pair
-	// shards, and the shard work of the most recent rebuild.
-	DeltaRebuilds uint64 `json:"delta_rebuilds,omitempty"`
-	DirtyShards   int    `json:"dirty_shards,omitempty"`
-	Degraded      bool   `json:"degraded,omitempty"`
-	LastError     string `json:"last_error,omitempty"`
+	Degraded        bool   `json:"degraded,omitempty"`
+	LastError       string `json:"last_error,omitempty"`
 }
 
 // NodeEvent is one NDJSON line of GET /cluster/v1/watch (and the body of
@@ -231,9 +226,9 @@ type NodeEvent struct {
 	Snapshots  int    `json:"snapshots"`
 	StateEpoch int    `json:"state_epoch"`
 	Degraded   bool   `json:"degraded"`
-	// DirtyComponents counts this node's components with snapshots their
-	// served state has not absorbed yet — the components the next rebuild
-	// wave will actually rebuild; the rest will be skipped.
+	// DirtyComponents counts this node's healthy components with snapshots
+	// their served state has not absorbed yet — the components the next
+	// gather rebuilds (core.RollUp).
 	DirtyComponents int              `json:"dirty_components,omitempty"`
 	Components      []ComponentState `json:"components,omitempty"`
 }

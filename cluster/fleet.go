@@ -28,10 +28,6 @@ type FleetConfig struct {
 	// overall Timeout (the ingest and watch streams are long-lived).
 	// Defaults to a plain http.Client.
 	Client *http.Client
-	// IngestBuffer bounds the per-node queue of scattered batches awaiting
-	// the ingest stream; a full queue drops the batch for that node (its
-	// components degrade, everyone else is unaffected). Default 1024.
-	IngestBuffer int
 	// ReconnectMin/ReconnectMax bound the supervision backoff for the
 	// per-node ingest and watch streams (defaults 100ms / 5s).
 	ReconnectMin, ReconnectMax time.Duration
@@ -91,19 +87,24 @@ func (nc *nodeClient) stream() (context.Context, chan [][]float64) {
 	return nc.sctx, nc.batches
 }
 
+// ingestQueue bounds the per-node queue of scattered batches awaiting the
+// ingest stream; a full queue drops the batch for that node (its components
+// degrade, everyone else is unaffected).
+const ingestQueue = 1024
+
 // reincarnate ends the node's current incarnation (severing its streams)
 // and starts a fresh one: a (re-)registered node's learning state and
 // folded-snapshot count begin again, so the delivery accounting and the
 // stream liveness do too. Callers must hold f.mu so no scatter races the
 // channel swap; nc.mu is taken for readers that hold neither lock.
-func (nc *nodeClient) reincarnate(parent context.Context, buffer int) {
+func (nc *nodeClient) reincarnate(parent context.Context) {
 	nc.mu.Lock()
 	defer nc.mu.Unlock()
 	if nc.scancel != nil {
 		nc.scancel()
 	}
 	nc.sctx, nc.scancel = context.WithCancel(parent)
-	nc.batches = make(chan [][]float64, buffer)
+	nc.batches = make(chan [][]float64, ingestQueue)
 	nc.base.Store(-1)
 	nc.sent.Store(0)
 	nc.missed.Store(0)
@@ -190,9 +191,6 @@ func NewFleet(rm *lia.RoutingMatrix, cfg FleetConfig) (*Fleet, error) {
 	if cfg.Client == nil {
 		cfg.Client = &http.Client{}
 	}
-	if cfg.IngestBuffer <= 0 {
-		cfg.IngestBuffer = 1024
-	}
 	if cfg.ReconnectMin <= 0 {
 		cfg.ReconnectMin = 100 * time.Millisecond
 	}
@@ -268,7 +266,7 @@ func (f *Fleet) handleRegister(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		nc = &nodeClient{id: req.NodeID}
-		nc.reincarnate(f.ctx, f.cfg.IngestBuffer)
+		nc.reincarnate(f.ctx)
 		f.nodes[req.NodeID] = nc
 	}
 	nc.mu.Lock()
@@ -278,7 +276,7 @@ func (f *Fleet) handleRegister(w http.ResponseWriter, r *http.Request) {
 		// A re-registration is a restarted node. Batches queued at — or
 		// streams opened against — its previous life are abandoned with that
 		// incarnation (f.mu is held, so no producer races the swap).
-		nc.reincarnate(f.ctx, f.cfg.IngestBuffer)
+		nc.reincarnate(f.ctx)
 	}
 	complete := len(f.nodes) == f.cfg.Size
 	place := complete && !f.placed
@@ -817,8 +815,6 @@ func (f *Fleet) ComponentStats() []lia.Stats {
 			Rebuilds:        cs.Rebuilds,
 			ElimReuses:      cs.ElimReuses,
 			RebuildFailures: cs.RebuildFailures,
-			DeltaRebuilds:   cs.DeltaRebuilds,
-			DirtyShards:     cs.DirtyShards,
 			Degraded:        cs.Degraded || !live,
 			LastError:       cs.LastError,
 		}
@@ -832,8 +828,7 @@ func (f *Fleet) ComponentStats() []lia.Stats {
 // Stats rolls ComponentStats up with the sharded engine's roll-up
 // (core.RollUp); unplaced components and unreachable owners count as
 // degraded. The fleet's own fields: Shards is the number of nodes carrying
-// components, DirtyComponents counts healthy components whose served state
-// trails their snapshots, and LastError is the first degraded one's error.
+// components, and LastError is the first degraded one's error.
 func (f *Fleet) Stats() lia.Stats {
 	f.mu.Lock()
 	shards := 0
@@ -852,9 +847,6 @@ func (f *Fleet) Stats() lia.Stats {
 		Decay:      f.cfg.Options.Decay,
 	}, comps)
 	for _, cs := range comps {
-		if cs.EpochLag > 0 && !cs.Degraded {
-			s.DirtyComponents++
-		}
 		if cs.Degraded && s.LastError == "" {
 			s.LastError = cs.LastError
 		}

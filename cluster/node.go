@@ -471,8 +471,8 @@ func (n *Node) respond(w http.ResponseWriter, p *placement, answer func(c int, n
 }
 
 // event assembles the node's current epoch state: per-component counters,
-// and the node's oldest state epoch and degradation from the shared roll-up
-// (core.RollUp).
+// and the node's oldest state epoch, degradation and dirty components from
+// the shared roll-up (core.RollUp).
 func (n *Node) event(typ string) NodeEvent {
 	ev := NodeEvent{Type: typ, NodeID: n.ID, StateEpoch: -1}
 	p := n.current()
@@ -492,17 +492,12 @@ func (n *Node) event(typ string) NodeEvent {
 			Rebuilds:        cs.Rebuilds,
 			ElimReuses:      cs.ElimReuses,
 			RebuildFailures: cs.RebuildFailures,
-			DeltaRebuilds:   cs.DeltaRebuilds,
-			DirtyShards:     cs.DirtyShards,
 			Degraded:        core.Unhealthy(cs),
 			LastError:       cs.LastError,
 		})
-		if cs.EpochLag > 0 {
-			ev.DirtyComponents++
-		}
 	}
 	agg := core.RollUp(lia.Stats{}, stats)
-	ev.StateEpoch, ev.Degraded = agg.StateEpoch, agg.Degraded
+	ev.StateEpoch, ev.Degraded, ev.DirtyComponents = agg.StateEpoch, agg.Degraded, agg.DirtyComponents
 	return ev
 }
 

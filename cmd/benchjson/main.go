@@ -41,13 +41,13 @@
 // Absolute latency gate (the steady-state SLO harness):
 //
 //	go run ./cmd/benchjson \
-//	    -gate 'BenchmarkEngineDeltaRebuild/dirty1:1000000' scale.json
+//	    -gate 'BenchmarkEngineWindowedRebuild/warm:5000000' windowed.json
 //
 // prints a markdown table and exits non-zero unless every bench matching
 // each -gate regex (repeatable; the spec splits on its last colon) comes in
 // at or under the ns/op ceiling. Unlike -baseline, the limit is absolute —
 // machine-dependent, but immune to a drifting baseline — so it suits hard
-// targets like "a dirty-shard epoch stays under a millisecond". A -gate
+// targets like "a warm rebuild wave stays under five milliseconds". A -gate
 // that matches no bench fails rather than passing vacuously.
 package main
 

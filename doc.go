@@ -59,16 +59,13 @@
 // StateEpoch is the oldest, and a component is unhealthy while Degraded or
 // while it has failed with no state built.
 //
-// Steady-state rebuilds are O(delta) in the data that moved, not in the
-// topology. Windowed accumulators track which packed comoment blocks each
-// snapshot dirtied, and the next rebuild patches only those blocks'
-// contributions into the cached Phase-1 right-hand side — bitwise-equal to
-// a full refold by construction. A sharded engine additionally skips every
-// component none of whose paths saw a snapshot; IngestSparse feeds whole
-// components selectively so localized traffic dirties only the components
-// it names (ErrPartialComponent rejects partial coverage). Stats reports
-// the wave shape (DeltaRebuilds, DirtyComponents, DirtyShards,
-// SkippedComponents). The sharded engine's shard layout is the static LPT
+// Snapshots are full: every ingest carries one value per path, and a
+// sharded engine scatters it to every component. So every component
+// rebuilds on each wave — Phase 1 refolds the full right-hand side against
+// the cached Cholesky factor when the solver admits one — and a gather with
+// no new snapshots serves cached state. Stats.DirtyComponents counts the
+// healthy components whose state trails their snapshots: the components the
+// next gather rebuilds. The sharded engine's shard layout is the static LPT
 // grouping of components by pair count, fixed at construction; it decides
 // only which components rebuild together, never an estimate.
 //

@@ -166,50 +166,6 @@ func (e *Engine) IngestBatch(ys [][]float64) error {
 	return nil
 }
 
-// IngestSparse folds one learning snapshot that names the paths it covers:
-// paths holds strictly ascending global path indices and y the matching
-// observations. A plain Engine is one link-connected solve — its moments
-// fold whole snapshots or none — so sparse ingestion here requires full
-// coverage (every path, making it equivalent to Ingest); anything less
-// returns ErrPartialComponent with nothing ingested. The method exists so
-// the steady-state streaming surface is uniform across engines: on a
-// ShardedEngine, covering only some components advances only those
-// components, and the untouched ones skip their next rebuild entirely.
-func (e *Engine) IngestSparse(paths []int, y []float64) error {
-	if err := checkSparse(e.rm, paths, y); err != nil {
-		return err
-	}
-	if len(paths) != e.rm.NumPaths() {
-		return fmt.Errorf("lia: sparse snapshot covers %d of %d paths: %w",
-			len(paths), e.rm.NumPaths(), ErrPartialComponent)
-	}
-	// Strictly ascending, in range, full length: paths is the identity
-	// permutation and y is a complete snapshot in path order.
-	return e.Ingest(y)
-}
-
-// checkSparse validates the shape of a sparse snapshot: matching lengths,
-// and strictly ascending path indices within the matrix's range.
-func checkSparse(rm *RoutingMatrix, paths []int, y []float64) error {
-	if len(paths) != len(y) {
-		return fmt.Errorf("lia: sparse snapshot names %d paths but carries %d values: %w",
-			len(paths), len(y), ErrDimensionMismatch)
-	}
-	if len(paths) == 0 {
-		return fmt.Errorf("lia: sparse snapshot covers no paths: %w", ErrDimensionMismatch)
-	}
-	np := rm.NumPaths()
-	for i, p := range paths {
-		if p < 0 || p >= np {
-			return fmt.Errorf("lia: sparse snapshot path %d outside [0, %d): %w", p, np, ErrDimensionMismatch)
-		}
-		if i > 0 && p <= paths[i-1] {
-			return fmt.Errorf("lia: sparse snapshot paths not strictly ascending at index %d: %w", i, ErrDimensionMismatch)
-		}
-	}
-	return nil
-}
-
 // consumeBatch is how many snapshots Consume buffers between IngestBatch
 // folds: large enough that a high-rate source stops serialising on
 // per-snapshot lock acquisition, small enough that snapshots become visible
@@ -421,9 +377,6 @@ func (e *Engine) Stats() Stats {
 		Window:          e.window,
 		Decay:           e.decay,
 	}
-	ds := e.p1.DeltaStats()
-	s.DeltaRebuilds = ds.DeltaFolds
-	s.DirtyShards = ds.LastDirtyShards
 	if f := e.lastFailure.Load(); f != nil {
 		s.LastError = f.err.Error()
 		s.LastFailure = f.at

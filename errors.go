@@ -32,14 +32,6 @@ var (
 	ErrTopologyTooLarge = topology.ErrPairIndexOverflow
 )
 
-// ErrPartialComponent: an IngestSparse snapshot covered some but not all
-// paths of a link-connected component. Component moments fold whole
-// snapshots or none — a partial fold would silently skew the component's
-// covariances — so sparse snapshots must cover the union of complete
-// components (for a plain Engine: every path). Nothing is ingested when
-// this error is returned.
-var ErrPartialComponent = errors.New("lia: sparse snapshot must cover complete components")
-
 // ErrRebuildFailed: a Phase-1 state rebuild failed (or panicked) and no
 // previously built state exists to fall back on. Engines that have served
 // at least one epoch degrade instead — queries keep answering from the

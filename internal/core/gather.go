@@ -62,27 +62,13 @@ type Stats struct {
 	// currently unhealthy — serving stale state or failing with none built
 	// (0 for a plain Engine, where Degraded alone tells the story).
 	DegradedComponents int
-	// DeltaRebuilds counts rebuilds whose Phase-1 right-hand side ran the
-	// incremental delta fold — recomputing only the pair shards whose
-	// co-moment block changed since the previous epoch — instead of a full
-	// fold (summed across components for a ShardedEngine). Delta folds
-	// require a bitwise-stable covariance divisor, so they appear with
-	// windowed moments at capacity; cumulative and decayed moments always
-	// full-fold.
+	// DeltaRebuilds is always 0: every rebuild folds the full Phase-1
+	// right-hand side. The field stays because perfbench reads it.
 	DeltaRebuilds uint64
-	// DirtyShards is the shard work of the most recent rebuild: for a plain
-	// Engine, the pair shards the last RHS fold recomputed; for a
-	// ShardedEngine, the concurrent rebuild groups that contained at least
-	// one rebuilt component in the most recent rebuild wave.
-	DirtyShards int
-	// DirtyComponents counts the components that actually rebuilt in the
-	// most recent rebuild wave of a ShardedEngine (0 for a plain Engine).
+	// DirtyComponents counts the healthy components of a sharded host whose
+	// served state trails their snapshots (EpochLag > 0) — the components the
+	// next gather rebuilds (0 for a plain Engine).
 	DirtyComponents int
-	// SkippedComponents is the lifetime count of components a ShardedEngine
-	// left untouched across rebuild waves because their epochs had not
-	// advanced — each skip avoids a Phase-1 solve and reuses the cached
-	// elimination outright (0 for a plain Engine).
-	SkippedComponents uint64
 }
 
 // SteadyState is one consistent view of an engine's cached learning state
@@ -195,10 +181,11 @@ func EpochLag(snapshots, stateEpoch int) int {
 }
 
 // RollUp folds per-component stats into a host's aggregate s, whose
-// Snapshots the host has set: Rebuilds, ElimReuses, RebuildFailures and
-// DeltaRebuilds sum, StateEpoch is the oldest component state (-1 while
-// one has none), DegradedComponents counts the Unhealthy components,
-// Degraded is set while there is one, and EpochLag follows. The fields
+// Snapshots the host has set: Rebuilds, ElimReuses and RebuildFailures
+// sum, StateEpoch is the oldest component state (-1 while one has none),
+// DegradedComponents counts the Unhealthy components, DirtyComponents the
+// healthy ones with EpochLag > 0, Degraded is set while there is an
+// unhealthy one, and EpochLag follows. The fields
 // whose meaning depends on the host are left as s has them.
 func RollUp(s Stats, comps []Stats) Stats {
 	epochs := make([]int, len(comps))
@@ -206,9 +193,10 @@ func RollUp(s Stats, comps []Stats) Stats {
 		s.Rebuilds += cs.Rebuilds
 		s.ElimReuses += cs.ElimReuses
 		s.RebuildFailures += cs.RebuildFailures
-		s.DeltaRebuilds += cs.DeltaRebuilds
 		if Unhealthy(cs) {
 			s.DegradedComponents++
+		} else if cs.EpochLag > 0 {
+			s.DirtyComponents++
 		}
 		epochs[c] = cs.StateEpoch
 	}

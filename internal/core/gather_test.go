@@ -67,23 +67,25 @@ func TestMergeResultsTotalFailure(t *testing.T) {
 
 // TestRollUp pins the stats roll-up: counters sum, StateEpoch is the
 // oldest component's, a component is unhealthy while Degraded or while it
-// failed with no state built, and EpochLag follows from the host's
-// Snapshots.
+// failed with no state built, DirtyComponents counts the healthy
+// components that lag their snapshots, and EpochLag follows from the
+// host's Snapshots.
 func TestRollUp(t *testing.T) {
 	comps := []Stats{
-		{StateEpoch: 10, Rebuilds: 2, ElimReuses: 1, DeltaRebuilds: 1},
-		{StateEpoch: 8, Rebuilds: 1, RebuildFailures: 1, Degraded: true},
-		{StateEpoch: -1, RebuildFailures: 2},
-		{StateEpoch: -1}, // not built yet, but not failing either
+		{StateEpoch: 10, EpochLag: 2, Rebuilds: 2, ElimReuses: 1},                     // lagging, healthy: dirty
+		{StateEpoch: 8, EpochLag: 4, Rebuilds: 1, RebuildFailures: 1, Degraded: true}, // lagging, degraded: not dirty
+		{StateEpoch: -1, EpochLag: 12, RebuildFailures: 2},                            // failing unbuilt: not dirty
+		{StateEpoch: -1, EpochLag: 12},                                                // not built yet, but not failing either: dirty
+		{StateEpoch: 12},                                                              // warm: not dirty
 	}
 	got := RollUp(Stats{Snapshots: 12, Components: 4}, comps[:2])
 	want := Stats{Snapshots: 12, Components: 4, StateEpoch: 8, EpochLag: 4, Rebuilds: 3, ElimReuses: 1,
-		DeltaRebuilds: 1, RebuildFailures: 1, Degraded: true, DegradedComponents: 1}
+		RebuildFailures: 1, Degraded: true, DegradedComponents: 1, DirtyComponents: 1}
 	if got != want {
 		t.Fatalf("RollUp = %+v, want %+v", got, want)
 	}
 	got = RollUp(Stats{Snapshots: 12}, comps)
-	if got.StateEpoch != -1 || got.EpochLag != 12 || got.DegradedComponents != 2 {
+	if got.StateEpoch != -1 || got.EpochLag != 12 || got.DegradedComponents != 2 || got.DirtyComponents != 2 {
 		t.Fatalf("RollUp with unbuilt components = %+v", got)
 	}
 	if got := RollUp(Stats{Snapshots: 3}, nil); got.StateEpoch != -1 || got.EpochLag != 3 || got.Degraded {

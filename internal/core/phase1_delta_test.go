@@ -10,8 +10,8 @@ import (
 )
 
 // deltaTopology builds a routing matrix whose Phase-1 pair stream spans
-// several shards (np(np+1)/2 well past pairsPerShard), so the dirty set has
-// real block granularity to work with.
+// several shards (np(np+1)/2 well past pairsPerShard), so the right-hand
+// side folds over more than one staging slot.
 func deltaTopology(t *testing.T, seed uint64) *topology.RoutingMatrix {
 	t.Helper()
 	rng := rand.New(rand.NewPCG(seed, seed+1))
@@ -22,7 +22,7 @@ func deltaTopology(t *testing.T, seed uint64) *topology.RoutingMatrix {
 		t.Fatal(err)
 	}
 	if rm.NumPairs() <= 2*pairsPerShard {
-		t.Fatalf("topology too small for shard-granular dirty tracking: %d pairs", rm.NumPairs())
+		t.Fatalf("topology too small for a multi-shard fold: %d pairs", rm.NumPairs())
 	}
 	return rm
 }
@@ -41,12 +41,11 @@ func tailVec(rng *rand.Rand, np, tail int, quiet bool) []float64 {
 	return y
 }
 
-// TestPhase1DeltaFoldBitwiseWindowed drives the steady-state scenario the
-// delta fold exists for: a windowed accumulator at capacity (bitwise-stable
-// divisor) over a topology where two thirds of the paths are quiet. Every
-// warm Estimate must run the delta path — recomputing strictly fewer shards
-// than the total — and stay bitwise-identical to the from-scratch
-// EstimateVariances, across worker counts.
+// TestPhase1DeltaFoldBitwiseWindowed: a windowed accumulator at capacity
+// (every add evicts a snapshot) over a topology where two thirds of the
+// paths are quiet. Every warm Estimate against the cached factor must stay
+// bitwise-identical to the from-scratch EstimateVariances, across worker
+// counts.
 func TestPhase1DeltaFoldBitwiseWindowed(t *testing.T) {
 	rm := deltaTopology(t, 21)
 	np := rm.NumPaths()
@@ -72,25 +71,8 @@ func TestPhase1DeltaFoldBitwiseWindowed(t *testing.T) {
 			}
 			for k := range want {
 				if got[k] != want[k] {
-					t.Fatalf("w%d epoch %d link %d: delta %g != cold %g (not bitwise identical)",
+					t.Fatalf("w%d epoch %d link %d: warm %g != cold %g (not bitwise identical)",
 						workers, epoch, k, got[k], want[k])
-				}
-			}
-			ds := p1.DeltaStats()
-			if epoch == 0 {
-				if ds.FullFolds != 1 || ds.DeltaFolds != 0 {
-					t.Fatalf("w%d priming fold: stats %+v, want exactly one full fold", workers, ds)
-				}
-			} else {
-				if ds.DeltaFolds != uint64(epoch) {
-					t.Fatalf("w%d epoch %d: %d delta folds, want %d", workers, epoch, ds.DeltaFolds, epoch)
-				}
-				if ds.LastDirtyShards >= ds.LastShards {
-					t.Fatalf("w%d epoch %d: %d of %d shards dirty — quiet tail saved nothing",
-						workers, epoch, ds.LastDirtyShards, ds.LastShards)
-				}
-				if ds.LastDirtyShards < 1 {
-					t.Fatalf("w%d epoch %d: zero dirty shards after new data", workers, epoch)
 				}
 			}
 			acc.Add(tailVec(rng, np, tail, true))
@@ -98,63 +80,9 @@ func TestPhase1DeltaFoldBitwiseWindowed(t *testing.T) {
 	}
 }
 
-// TestPhase1DeltaEvictionDirtiesShard covers the remove-only edge case: the
-// incoming snapshot carries bitwise the same quiet-tail constants the ring
-// has held all along, so the only tail-relevant change in the epoch is the
-// windowed *eviction* of the one old snapshot whose tail varied. The
-// reverse-Welford removal moves the tail co-moments, the dirty set must
-// catch it, and the delta estimate must still match the cold fold bitwise.
-func TestPhase1DeltaEvictionDirtiesShard(t *testing.T) {
-	rm := deltaTopology(t, 23)
-	np := rm.NumPaths()
-	tail := 2 * np / 3
-	const window = 16
-	rng := rand.New(rand.NewPCG(101, 7))
-	acc := stats.NewWindowedCovAccumulator(np, window)
-	acc.Add(tailVec(rng, np, 0, false)) // snapshot 0: tail varies
-	for i := 1; i < window; i++ {
-		acc.Add(tailVec(rng, np, tail, true))
-	}
-	opts := VarianceOptions{Method: VarianceNormalEquations}
-	p1 := NewPhase1(rm, opts)
-	v0 := acc.View()
-	if _, err := p1.Estimate(v0); err != nil {
-		t.Fatal(err)
-	}
-	// This add evicts snapshot 0; its tail payload is unchanged data.
-	acc.Add(tailVec(rng, np, tail, true))
-	v1 := acc.View()
-	dirty := v1.DirtyBlocks(v0, pairsPerShard)
-	if dirty == nil {
-		t.Fatal("windowed views at capacity should be comparable")
-	}
-	// The last shard covers pure tail×tail pairs; only the eviction touched
-	// them.
-	if !dirty[len(dirty)-1] {
-		t.Fatal("evicting the varying-tail snapshot must dirty the tail shard")
-	}
-	want, err := EstimateVariances(rm, v1, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := p1.Estimate(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := range want {
-		if got[k] != want[k] {
-			t.Fatalf("link %d: delta %g != cold %g after eviction-dirtied shard", k, got[k], want[k])
-		}
-	}
-	if ds := p1.DeltaStats(); ds.DeltaFolds != 1 {
-		t.Fatalf("stats %+v, want one delta fold", ds)
-	}
-}
-
 // TestPhase1DeltaDecayDegradesToFullFold: λ<1 rescales every co-moment and
-// moves the divisor on each add, so no two views are block-comparable — the
-// delta machinery must degrade to recomputing every shard, every time,
-// while staying bitwise-identical to the cold fold.
+// moves the divisor on each add; every warm Estimate must still be
+// bitwise-identical to the cold fold.
 func TestPhase1DeltaDecayDegradesToFullFold(t *testing.T) {
 	rm := deltaTopology(t, 29)
 	np := rm.NumPaths()
@@ -179,16 +107,6 @@ func TestPhase1DeltaDecayDegradesToFullFold(t *testing.T) {
 			if got[k] != want[k] {
 				t.Fatalf("epoch %d link %d: %g != %g under decay", epoch, k, got[k], want[k])
 			}
-		}
-		ds := p1.DeltaStats()
-		if ds.DeltaFolds != 0 {
-			t.Fatalf("epoch %d: %d delta folds under λ<1, want 0 (divisor moves every add)", epoch, ds.DeltaFolds)
-		}
-		if ds.FullFolds != uint64(epoch+1) {
-			t.Fatalf("epoch %d: %d full folds, want %d", epoch, ds.FullFolds, epoch+1)
-		}
-		if ds.LastDirtyShards != ds.LastShards {
-			t.Fatalf("epoch %d: %d of %d shards recomputed, want all", epoch, ds.LastDirtyShards, ds.LastShards)
 		}
 		acc.Add(tailVec(rng, np, 2*np/3, true))
 	}

@@ -78,10 +78,6 @@ type VarianceOptions struct {
 	// NegPolicy selects the treatment of negative measured covariances
 	// (default ClampNegativeCov).
 	NegPolicy NegativeCovPolicy
-	// DenseBudget caps the approximate flop count (rows × nc²) the dense QR
-	// path may incur before Auto switches to normal equations
-	// (default 2e8, ≈ a few hundred ms).
-	DenseBudget int
 	// Workers bounds the goroutines used by the sharded Phase-1 accumulation
 	// over the O(np²) equation stream. 0 sizes the pool to GOMAXPROCS (with
 	// an inline fallback below a work threshold); values ≤ 1 walk the shards
@@ -113,16 +109,14 @@ func (o VarianceOptions) adjust(sigma float64) (float64, bool) {
 	}
 }
 
-func (o VarianceOptions) budget() int {
-	if o.DenseBudget <= 0 {
-		return 200_000_000
-	}
-	return o.DenseBudget
-}
+// denseBudget caps the approximate flop count (rows × nc²) the dense QR
+// path may incur before Auto switches to normal equations (≈ a few hundred
+// ms).
+const denseBudget = 200_000_000
 
 // resolveMethod turns VarianceAuto into a concrete solver choice for the
 // given routing matrix. The decision depends only on the topology (and the
-// options' dense budget), never on the measured data — which is what lets
+// dense budget), never on the measured data — which is what lets
 // Phase1 decide cacheability once per routing matrix.
 func (o VarianceOptions) resolveMethod(rm *topology.RoutingMatrix) VarianceMethod {
 	if o.Method != VarianceAuto {
@@ -130,7 +124,7 @@ func (o VarianceOptions) resolveMethod(rm *topology.RoutingMatrix) VarianceMetho
 	}
 	np, nc := rm.NumPaths(), rm.NumLinks()
 	rows := np * (np + 1) / 2
-	if rows*nc*nc <= o.budget() {
+	if rows*nc*nc <= denseBudget {
 		return VarianceDenseQR
 	}
 	return VarianceNormalEquations
@@ -368,11 +362,7 @@ func accumulateRHSInto(dst []float64, rm *topology.RoutingMatrix, cov stats.CovV
 // accumulateRHSShard folds the adjusted right-hand sides of the packed pair
 // range [lo, hi) — one shard of the equation stream — into rhs (length nc,
 // zeroed here because staging slots are reused across windows), and returns
-// the kept-equation count. It is the per-shard unit of both the cold fold
-// above and Phase1's warm delta fold: a shard's partial depends only on its
-// own co-moment block and the divisor, and both paths run this one
-// implementation, so a cached partial is bit-for-bit what a recompute would
-// produce.
+// the kept-equation count.
 //
 // When kept is non-nil (length npairs overall) the walk also records which
 // packed pair indices survived the negative-covariance policy; shards own

@@ -66,6 +66,10 @@ func (s *CovSnapshot) Cov(i, j int) float64 {
 	return s.comom[triIndex(i, j, s.dim)] / s.div
 }
 
+// NumComoments returns the length of the packed upper-triangular co-moment
+// slice, dim·(dim+1)/2: the floats a view holds.
+func (s *CovSnapshot) NumComoments() int { return len(s.comom) }
+
 // CovAccumulator builds the empirical covariance matrix Σ̂ of the per-path
 // log transmission rates incrementally, one snapshot vector at a time, using
 // a numerically stable streaming update (Welford generalized to

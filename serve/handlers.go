@@ -131,14 +131,9 @@ type TopoStatus struct {
 	ElimReuses    uint64  `json:"elim_reuses"`
 	LastRebuildMs float64 `json:"last_rebuild_ms"`
 
-	// The O(delta) steady-state block mirrors the incremental-rebuild
-	// fields of lia.Stats: how many rebuilds ran the dirty-shard delta
-	// fold, the shard/component work of the most recent wave, and the
-	// lifetime count of skipped component rebuilds.
-	DeltaRebuilds     uint64 `json:"delta_rebuilds"`
-	DirtyShards       int    `json:"dirty_shards"`
-	DirtyComponents   int    `json:"dirty_components,omitempty"`
-	SkippedComponents uint64 `json:"skipped_components,omitempty"`
+	// DirtyComponents mirrors lia.Stats: the healthy components of a
+	// sharded engine that the next gather rebuilds.
+	DirtyComponents int `json:"dirty_components,omitempty"`
 
 	Degraded           bool    `json:"degraded"`
 	DegradedComponents int     `json:"degraded_components,omitempty"`
@@ -432,10 +427,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 			ElimReuses:    st.ElimReuses,
 			LastRebuildMs: float64(st.LastRebuild) / float64(time.Millisecond),
 
-			DeltaRebuilds:     st.DeltaRebuilds,
-			DirtyShards:       st.DirtyShards,
-			DirtyComponents:   st.DirtyComponents,
-			SkippedComponents: st.SkippedComponents,
+			DirtyComponents: st.DirtyComponents,
 
 			Degraded:           st.Degraded,
 			DegradedComponents: st.DegradedComponents,

@@ -53,14 +53,8 @@ var metricDefs = []metricDef{
 		func(m *topoMetrics) float64 { return float64(m.st.Shards) }},
 	{"liaserve_components", "Link-connected topology components (0 = unsharded engine).", "gauge",
 		func(m *topoMetrics) float64 { return float64(m.st.Components) }},
-	{"liaserve_delta_rebuilds_total", "Rebuilds that ran the incremental O(delta) Phase-1 fold over dirty shards only.", "counter",
-		func(m *topoMetrics) float64 { return float64(m.st.DeltaRebuilds) }},
-	{"liaserve_rebuild_dirty_shards", "Shard work of the most recent rebuild (pair shards refolded, or rebuild groups that rebuilt).", "gauge",
-		func(m *topoMetrics) float64 { return float64(m.st.DirtyShards) }},
-	{"liaserve_rebuild_dirty_components", "Components that actually rebuilt in the most recent sharded rebuild wave.", "gauge",
+	{"liaserve_rebuild_dirty_components", "Healthy sharded components whose served state trails their snapshots (rebuilt by the next gather).", "gauge",
 		func(m *topoMetrics) float64 { return float64(m.st.DirtyComponents) }},
-	{"liaserve_rebuild_skipped_components", "Components whose Phase-1 rebuild was skipped because their moments were untouched.", "counter",
-		func(m *topoMetrics) float64 { return float64(m.st.SkippedComponents) }},
 	{"liaserve_rebuild_failures_total", "Phase-1 rebuild attempts that failed or panicked.", "counter",
 		func(m *topoMetrics) float64 { return float64(m.st.RebuildFailures) }},
 	{"liaserve_degraded", "1 while the engine serves its last-good state through rebuild failures.", "gauge",

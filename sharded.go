@@ -168,15 +168,8 @@ type ShardedEngine struct {
 	window    int
 	decay     float64
 
-	mu        sync.Mutex // serialises ingestion so every component sees the same order
-	epoch     atomic.Uint64
-	sparsePos []int // IngestSparse scratch: global path -> snapshot position (-1 idle); under mu
-
-	// Most-recent-rebuild-wave gauges and the lifetime skip counter behind
-	// Stats.DirtyComponents / DirtyShards / SkippedComponents.
-	waveDirtyComponents atomic.Int64
-	waveDirtyShards     atomic.Int64
-	skippedComponents   atomic.Uint64
+	mu    sync.Mutex // serialises ingestion so every component sees the same order
+	epoch atomic.Uint64
 }
 
 // NewShardedEngine creates a sharded engine over the routing matrix,
@@ -248,10 +241,8 @@ func (e *ShardedEngine) NumShards() int { return len(e.groups) }
 // NumComponents returns the number of link-connected components.
 func (e *ShardedEngine) NumComponents() int { return len(e.comps) }
 
-// Snapshots returns the lifetime number of learning snapshots ingested.
-// Full snapshots scatter to every component; IngestSparse snapshots count
-// once here but advance only the components they cover, so per-component
-// counts can trail this value on sparse streams.
+// Snapshots returns the lifetime number of learning snapshots ingested;
+// every snapshot scatters to every component.
 func (e *ShardedEngine) Snapshots() int { return int(e.epoch.Load()) }
 
 // Threshold returns the effective congestion threshold tl.
@@ -304,105 +295,12 @@ func (e *ShardedEngine) Consume(ctx context.Context, src SnapshotSource) (int, e
 	return consumeSource(ctx, src, e.rm, e.IngestBatch)
 }
 
-// SparseIngester is the optional component-granular ingestion surface:
-// engines that can fold snapshots covering only part of the topology
-// implement it (Engine requires full coverage, ShardedEngine accepts any
-// union of complete components). Callers holding an Inferencer type-assert
-// for it; wrappers that cannot journal sparse folds (DurableEngine's WAL
-// records whole snapshots) deliberately do not implement it.
-type SparseIngester interface {
-	// IngestSparse folds one snapshot covering exactly the named global
-	// paths (strictly ascending). Coverage must be a union of complete
-	// link-connected components; ErrPartialComponent otherwise.
-	IngestSparse(paths []int, y []float64) error
-}
-
-// Interface conformance, checked at compile time.
-var (
-	_ SparseIngester = (*Engine)(nil)
-	_ SparseIngester = (*ShardedEngine)(nil)
-)
-
-// IngestSparse folds one learning snapshot that covers only part of the
-// topology: paths holds strictly ascending global path indices and y the
-// matching observations, and together they must cover the union of complete
-// link-connected components — each component is either fully present or
-// entirely absent (anything else returns ErrPartialComponent with nothing
-// ingested anywhere). Only the covered components' moments and epochs
-// advance; at the next rebuild wave every untouched component skips its
-// Phase-1 solve and serves its cached state — variances, elimination and
-// all — bitwise unchanged. This is the O(delta) steady-state ingest path:
-// an epoch where k of K components saw traffic rebuilds only those k.
-//
-// The global Snapshots count advances by one per sparse snapshot, like any
-// other ingest; per-component counts advance only where covered, so
-// gathered Epochs report the oldest covered state as usual.
-func (e *ShardedEngine) IngestSparse(paths []int, y []float64) error {
-	if err := checkSparse(e.rm, paths, y); err != nil {
-		return err
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.sparsePos == nil {
-		e.sparsePos = make([]int, e.rm.NumPaths())
-		for i := range e.sparsePos {
-			e.sparsePos[i] = -1
-		}
-	}
-	pos := e.sparsePos
-	for i, p := range paths {
-		pos[p] = i
-	}
-	defer func() {
-		for _, p := range paths {
-			pos[p] = -1
-		}
-	}()
-	// Validate coverage for every component before folding into any, so a
-	// partial snapshot leaves all moments untouched.
-	covered := make([]bool, len(e.comps))
-	for c, sc := range e.comps {
-		n := 0
-		for _, pg := range sc.paths {
-			if pos[pg] >= 0 {
-				n++
-			}
-		}
-		switch {
-		case n == 0:
-		case n == len(sc.paths):
-			covered[c] = true
-		default:
-			return fmt.Errorf("lia: sparse snapshot covers %d of %d paths of component %d: %w",
-				n, len(sc.paths), c, ErrPartialComponent)
-		}
-	}
-	for c, sc := range e.comps {
-		if !covered[c] {
-			continue
-		}
-		dst := sc.scratch
-		for pl, pg := range sc.paths {
-			dst[pl] = y[pos[pg]]
-		}
-		if err := sc.eng.Ingest(dst); err != nil {
-			return err // unreachable: dimensions hold by construction
-		}
-	}
-	e.epoch.Add(1)
-	return nil
-}
-
 // runComponents runs fn for every component, fanning the shards out on
 // their own goroutines; components within a shard run sequentially, which
 // is what bounds rebuild concurrency at the shard count. The returned
 // slice holds each component's error (nil on success) in component-index
 // order, deterministically.
 func (e *ShardedEngine) runComponents(fn func(c int, sc *shardComponent) error) []error {
-	before := make([]uint64, len(e.comps))
-	for c, sc := range e.comps {
-		before[c] = sc.eng.rebuilds.Load()
-	}
 	errs := make([]error, len(e.comps))
 	if len(e.groups) == 1 {
 		for _, c := range e.groups[0] {
@@ -421,43 +319,7 @@ func (e *ShardedEngine) runComponents(fn func(c int, sc *shardComponent) error) 
 		}
 		wg.Wait()
 	}
-	e.observeWave(before)
 	return errs
-}
-
-// observeWave inspects which components rebuilt during one runComponents
-// pass: it publishes the dirty-component and dirty-shard gauges and counts
-// the untouched components that skipped Phase-1 outright. Passes where
-// nothing rebuilt (warm gathers over unchanged epochs) leave everything
-// untouched, so the gauges always describe the most recent wave that did
-// rebuild work.
-func (e *ShardedEngine) observeWave(before []uint64) {
-	dirty := 0
-	var rebuilt []bool
-	for c, sc := range e.comps {
-		if sc.eng.rebuilds.Load() > before[c] {
-			if rebuilt == nil {
-				rebuilt = make([]bool, len(e.comps))
-			}
-			rebuilt[c] = true
-			dirty++
-		}
-	}
-	if dirty == 0 {
-		return
-	}
-	dirtyGroups := 0
-	for _, g := range e.groups {
-		for _, c := range g {
-			if rebuilt[c] {
-				dirtyGroups++
-				break
-			}
-		}
-	}
-	e.waveDirtyComponents.Store(int64(dirty))
-	e.waveDirtyShards.Store(int64(dirtyGroups))
-	e.skippedComponents.Add(uint64(len(e.comps) - dirty))
 }
 
 // Infer runs Phase 2 on one snapshot of per-path observations: each shard
@@ -535,21 +397,16 @@ func (e *ShardedEngine) CheckIdentifiable() error {
 // engine's own fields: LastRebuild is the slowest component's most recent
 // rebuild — the wall-clock floor of a full sharded rebuild — LastError/
 // LastFailure carry the most recent component failure, StateAge is the
-// stalest served component state, DirtyComponents/DirtyShards describe the
-// most recent wave that rebuilt anything, and SkippedComponents counts the
-// lifetime Phase-1 solves avoided on untouched components. Use
-// ComponentStats for the per-component breakdown.
+// stalest served component state. Use ComponentStats for the per-component
+// breakdown.
 func (e *ShardedEngine) Stats() Stats {
 	comps := e.ComponentStats()
 	s := core.RollUp(Stats{
-		Snapshots:         int(e.epoch.Load()),
-		Window:            e.window,
-		Decay:             e.decay,
-		Shards:            e.NumShards(),
-		Components:        len(e.comps),
-		DirtyComponents:   int(e.waveDirtyComponents.Load()),
-		DirtyShards:       int(e.waveDirtyShards.Load()),
-		SkippedComponents: e.skippedComponents.Load(),
+		Snapshots:  int(e.epoch.Load()),
+		Window:     e.window,
+		Decay:      e.decay,
+		Shards:     e.NumShards(),
+		Components: len(e.comps),
 	}, comps)
 	for _, cs := range comps {
 		if cs.LastFailure.After(s.LastFailure) {
