@@ -208,7 +208,6 @@ type ComponentState struct {
 	Snapshots       int    `json:"snapshots"`
 	StateEpoch      int    `json:"state_epoch"`
 	Rebuilds        uint64 `json:"rebuilds"`
-	ElimReuses      uint64 `json:"elim_reuses"`
 	RebuildFailures uint64 `json:"rebuild_failures,omitempty"`
 	Degraded        bool   `json:"degraded,omitempty"`
 	LastError       string `json:"last_error,omitempty"`

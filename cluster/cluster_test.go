@@ -376,14 +376,14 @@ func TestFleetStatsFromWatch(t *testing.T) {
 // shared roll-up, and so must agree on.
 type rollup struct {
 	Snapshots, StateEpoch, EpochLag int
-	Rebuilds, ElimReuses            uint64
+	Rebuilds                        uint64
 	Components                      int
 	Degraded                        bool
 	DegradedComponents              int
 }
 
 func rollupOf(s lia.Stats) rollup {
-	return rollup{s.Snapshots, s.StateEpoch, s.EpochLag, s.Rebuilds, s.ElimReuses,
+	return rollup{s.Snapshots, s.StateEpoch, s.EpochLag, s.Rebuilds,
 		s.Components, s.Degraded, s.DegradedComponents}
 }
 

@@ -813,7 +813,6 @@ func (f *Fleet) ComponentStats() []lia.Stats {
 			StateEpoch:      cs.StateEpoch,
 			EpochLag:        core.EpochLag(cs.Snapshots, cs.StateEpoch),
 			Rebuilds:        cs.Rebuilds,
-			ElimReuses:      cs.ElimReuses,
 			RebuildFailures: cs.RebuildFailures,
 			Degraded:        cs.Degraded || !live,
 			LastError:       cs.LastError,

@@ -490,7 +490,6 @@ func (n *Node) event(typ string) NodeEvent {
 			Snapshots:       cs.Snapshots,
 			StateEpoch:      cs.StateEpoch,
 			Rebuilds:        cs.Rebuilds,
-			ElimReuses:      cs.ElimReuses,
 			RebuildFailures: cs.RebuildFailures,
 			Degraded:        core.Unhealthy(cs),
 			LastError:       cs.LastError,

@@ -20,14 +20,14 @@
 //     and solve the reduced first-order system for the newest snapshot.
 //     Together they are the LIA algorithm of §5.3.
 //   - §5.1's incremental update: a routing change means a new engine;
-//     within a topology, a rebuild refolds only the changed rows' shards.
+//     within a topology, a rebuild reuses the cached Phase-1 factorization.
 //   - WithObservation(ObserveLinear) switches the snapshot semantics to
 //     additive path metrics — the §8 delay-tomography extension.
 //
 // An Engine is safe for concurrent use: snapshot ingestion serialises on a
 // short critical section (one Welford fold), while Infer runs lock-free in
 // the steady state against an atomically-swapped cache of the Phase-1
-// variances and elimination order, keyed by an ingestion epoch. Many
+// variances and the Phase-2 partition, keyed by an ingestion epoch. Many
 // goroutines can infer while others ingest. Rebuilds after new learning
 // data are incremental: under the default clamp policy the Phase-1 normal
 // equations' Gram matrix depends only on the topology, so its factorization

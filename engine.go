@@ -17,8 +17,8 @@ import (
 //
 // Learning snapshots stream in through Ingest / IngestBatch / Consume;
 // inferences run through Infer. Internally the engine keys a cached
-// Phase-1 state (link variances and the Phase-2 elimination order) by an
-// ingestion epoch — the number of snapshots folded in. Infer loads the
+// state (the Phase-1 link variances and the Phase-2 kept/removed partition)
+// by an ingestion epoch — the number of snapshots folded in. Infer loads the
 // cache with two atomic reads; only the first inference after new learning
 // data recomputes it, and concurrent inferences behind that rebuild
 // single-flight on one recompute. Ingestion itself serialises on a short
@@ -74,7 +74,6 @@ type Engine struct {
 	// Observability counters, read by Stats (and liaserve's /v1/status and
 	// /metrics endpoints).
 	rebuilds        atomic.Uint64
-	elimReuses      atomic.Uint64
 	lastRebuildNano atomic.Int64
 	rebuildFailures atomic.Uint64
 	degraded        atomic.Bool // serving last-good after a rebuild failure
@@ -94,7 +93,6 @@ type phaseState struct {
 	epoch         uint64 // ingestion epoch the state was computed at
 	builtAt       time.Time
 	vars          []float64
-	order         []int // ascending variance permutation (elimination cache key)
 	kept, removed []int
 }
 
@@ -288,11 +286,12 @@ func (e *Engine) currentState(ctx context.Context) (*phaseState, error) {
 // exists so tests can prove the recover path; production never sets it.
 var rebuildPanicHook func()
 
-// rebuild computes the phase state for the current ingestion epoch,
-// converting a panic anywhere in the solve into an error so a poisoned
-// moment view cannot take down the serving goroutine. It returns the epoch
-// the rebuild targeted either way, for failure records. Caller holds
-// e.rebuildMu.
+// rebuild computes the phase state for the current ingestion epoch: the
+// Phase-1 variances, then the exact Phase-2 elimination. It converts a
+// panic anywhere in the solve into an error, so neither a poisoned moment
+// view nor the elimination's prime-disagreement panic (linalg.Span) can
+// take down the serving goroutine. It returns the epoch the rebuild
+// targeted either way, for failure records. Caller holds e.rebuildMu.
 func (e *Engine) rebuild(ctx context.Context) (st *phaseState, epoch uint64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -314,26 +313,12 @@ func (e *Engine) rebuild(ctx context.Context) (st *phaseState, epoch uint64, err
 	if err := ctx.Err(); err != nil {
 		return nil, epoch, err
 	}
-	// Phase-2 elimination cache: both strategies are pure functions of the
-	// ascending-variance permutation (see core.VarianceOrder), so when the
-	// new epoch's ordering matches the previous state's, the kept/removed
-	// partition is reused verbatim — identical, not approximately so, to the
-	// from-scratch elimination. With m snapshots already learned, one more
-	// rarely reorders the variances, and the rank-test search now dominating
-	// warm rebuilds is skipped entirely.
-	order := core.VarianceOrder(vars)
-	var kept, removed []int
-	if prev := e.state.Load(); prev != nil && intsEqual(prev.order, order) {
-		kept, removed = prev.kept, prev.removed
-		e.elimReuses.Add(1)
-	} else {
-		kept, removed = core.EliminateWorkers(e.rm, vars, e.opts.Strategy, e.opts.Variance.Workers)
-	}
+	kept, removed := core.Eliminate(e.rm, vars, e.opts.Strategy)
 	e.lastRebuildNano.Store(time.Since(start).Nanoseconds())
 	e.rebuilds.Add(1)
 	return &phaseState{
 		epoch: epoch, builtAt: time.Now(),
-		vars: vars, order: order, kept: kept, removed: removed,
+		vars: vars, kept: kept, removed: removed,
 	}, epoch, nil
 }
 
@@ -343,18 +328,6 @@ func (e *Engine) momentsView() (*stats.CovSnapshot, uint64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.acc.View(), e.epoch.Load()
-}
-
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, v := range a {
-		if v != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Stats is a point-in-time observability snapshot of an engine, the hook
@@ -370,7 +343,6 @@ func (e *Engine) Stats() Stats {
 		Snapshots:       int(e.epoch.Load()),
 		StateEpoch:      -1,
 		Rebuilds:        e.rebuilds.Load(),
-		ElimReuses:      e.elimReuses.Load(),
 		LastRebuild:     time.Duration(e.lastRebuildNano.Load()),
 		RebuildFailures: e.rebuildFailures.Load(),
 		Degraded:        e.degraded.Load(),

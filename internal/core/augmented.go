@@ -40,23 +40,6 @@ func VisitPairsRange(rm *topology.RoutingMatrix, from, to int, visit PairVisitor
 	rm.VisitPairSupports(from, to, visit)
 }
 
-// AugmentedDense materializes the full augmented matrix A of Definition 1:
-// np(np+1)/2 rows (one per unordered path pair, including i = j) by nc
-// columns. Exposed for tests and small-topology analysis; the estimators use
-// VisitPairs / Gram instead to avoid materializing A.
-func AugmentedDense(rm *topology.RoutingMatrix) *linalg.Dense {
-	np, nc := rm.NumPaths(), rm.NumLinks()
-	a := linalg.NewDense(np*(np+1)/2, nc)
-	row := 0
-	VisitPairs(rm, func(i, j int, support []int32) {
-		for _, k := range support {
-			a.Set(row, int(k), 1)
-		}
-		row++
-	})
-	return a
-}
-
 // Gram accumulates the normal equations AᵀA·v = AᵀΣ* without materializing
 // A: each equation contributes its support outer-product to G = AᵀA and its
 // measured covariance to the right-hand side. This is what lets the variance
@@ -65,7 +48,6 @@ func AugmentedDense(rm *topology.RoutingMatrix) *linalg.Dense {
 type Gram struct {
 	g   *linalg.Dense
 	rhs []float64
-	n   int // equations folded in
 }
 
 // NewGram creates an accumulator over nc links.
@@ -83,11 +65,7 @@ func (gr *Gram) AddEquation(support []int32, sigma float64) {
 			rowk[l]++
 		}
 	}
-	gr.n++
 }
-
-// Equations returns the number of equations currently folded in.
-func (gr *Gram) Equations() int { return gr.n }
 
 // Solve solves the normal equations for v by Cholesky factorization,
 // falling back to a minimally regularized factorization when sampling noise
@@ -100,16 +78,24 @@ func (gr *Gram) Solve() ([]float64, error) {
 	return ch.Solve(gr.rhs), nil
 }
 
-// AugmentedRank returns rank(A) computed through the (much smaller) Gram
-// matrix: rank(A) = rank(AᵀA).
+// AugmentedRank returns rank(A), the exact rank of the augmented matrix:
+// its rows (the pair supports of VisitPairs) go through one linalg.Span,
+// and the count stops at nc.
 func AugmentedRank(rm *topology.RoutingMatrix) int {
-	gr := NewGram(rm.NumLinks())
-	VisitPairs(rm, func(i, j int, support []int32) {
-		if len(support) > 0 {
-			gr.AddEquation(support, 0)
+	nc := rm.NumLinks()
+	span := linalg.NewSpan(nc)
+	var row []int
+	VisitPairs(rm, func(_, _ int, support []int32) {
+		if span.Rank() == nc {
+			return
 		}
+		row = row[:0]
+		for _, k := range support {
+			row = append(row, int(k))
+		}
+		span.Add(row)
 	})
-	return linalg.Rank(gr.g)
+	return span.Rank()
 }
 
 // Identifiable reports whether the link variances are statistically

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"lia/internal/linalg"
@@ -16,9 +15,10 @@ type Elimination int
 const (
 	// EliminatePaperSequential is the algorithm exactly as printed in the
 	// paper: repeatedly remove the remaining column with the smallest
-	// variance until R* has full column rank. Because independence of a
-	// column suffix is monotone in the number of removals, the loop is
-	// implemented as a binary search over the ascending-variance order.
+	// variance until R* has full column rank. Suffix independence is
+	// monotone in the number of removals, so one walk down the variance
+	// order finds the cut: it stops at the first column dependent on the
+	// higher-variance ones and removes that column and everything below it.
 	EliminatePaperSequential Elimination = iota
 	// EliminateGreedyBasis builds R* greedily from the highest-variance
 	// column down, keeping a column only if it is linearly independent of
@@ -39,51 +39,51 @@ func (e Elimination) String() string {
 
 // Eliminate reduces the routing matrix to a full-column-rank set of columns,
 // preferring to keep high-variance (congested) links. It returns the kept
-// and removed virtual-link indices; kept is sorted ascending.
+// and removed virtual-link indices, both sorted ascending. Every rank test
+// is exact (linalg.Span over the columns' path supports), so the partition
+// depends on the variances only through VarianceOrder.
 func Eliminate(rm *topology.RoutingMatrix, variances []float64, strategy Elimination) (kept, removed []int) {
-	return EliminateWorkers(rm, variances, strategy, 1)
+	return eliminate(rm, variances, strategy, linalg.NewSpan)
 }
 
-// EliminateWorkers is Eliminate with the rank tests of the paper-sequential
-// strategy running the pivoted-QR factorization over a worker pool (0 sizes
-// it to GOMAXPROCS, ≤ 1 runs serial). The factorization's column updates are
-// independent, so results are bitwise-identical across worker counts.
+// EliminateWorkers is Eliminate; the workers argument is ignored. Kept
+// because perfbench calls it.
 func EliminateWorkers(rm *topology.RoutingMatrix, variances []float64, strategy Elimination, workers int) (kept, removed []int) {
+	return Eliminate(rm, variances, strategy)
+}
+
+// eliminate walks the columns from the highest variance down, adding each
+// to a span created by newSpan (tests pass one with chosen primes).
+func eliminate(rm *topology.RoutingMatrix, variances []float64, strategy Elimination, newSpan func(dim int) *linalg.Span) (kept, removed []int) {
 	nc := rm.NumLinks()
 	if len(variances) != nc {
 		panic(fmt.Sprintf("core: %d variances for %d links", len(variances), nc))
 	}
-	switch strategy {
-	case EliminateGreedyBasis:
-		kept = greedyBasis(rm, variances)
-	default:
-		kept = sequentialSuffix(rm, variances, workers)
+	order := VarianceOrder(variances)
+	span := newSpan(rm.NumPaths())
+	keep := make([]bool, nc)
+	for j := nc - 1; j >= 0; j-- {
+		k := order[j]
+		if span.Add(rm.PathsThrough(k)) {
+			keep[k] = true
+		} else if strategy != EliminateGreedyBasis {
+			break
+		}
 	}
-	keptSet := make(map[int]bool, len(kept))
-	for _, k := range kept {
-		keptSet[k] = true
-	}
-	for k := 0; k < nc; k++ {
-		if !keptSet[k] {
+	for k, ok := range keep {
+		if ok {
+			kept = append(kept, k)
+		} else {
 			removed = append(removed, k)
 		}
 	}
-	sort.Ints(kept)
 	return kept, removed
 }
 
-// VarianceOrder returns the link indices sorted by (variance, index) —
-// ascending, ties broken by index. Both elimination strategies are pure
-// functions of this permutation and the routing matrix: sequentialSuffix
-// binary-searches over suffixes of it and greedyBasis walks it in reverse,
-// neither reads the variance values again. Callers (lia.Engine) exploit
-// that to reuse a cached elimination across epochs whose orderings match.
+// VarianceOrder returns the link indices sorted by (variance, index):
+// ascending, ties broken by index. Both elimination strategies walk it from
+// the end and read no variance values.
 func VarianceOrder(variances []float64) []int {
-	return ascendingByVariance(variances)
-}
-
-// ascendingByVariance returns link indices sorted by (variance, index).
-func ascendingByVariance(variances []float64) []int {
 	order := make([]int, len(variances))
 	for i := range order {
 		order[i] = i
@@ -96,86 +96,6 @@ func ascendingByVariance(variances []float64) []int {
 		return order[a] < order[b]
 	})
 	return order
-}
-
-// sequentialSuffix finds the smallest t such that the columns with the
-// (nc−t) largest variances are linearly independent — exactly the state the
-// paper's remove-smallest loop terminates in — via binary search (suffix
-// independence is monotone in t).
-func sequentialSuffix(rm *topology.RoutingMatrix, variances []float64, workers int) []int {
-	nc := rm.NumLinks()
-	order := ascendingByVariance(variances)
-	suffixIndependent := func(t int) bool {
-		cols := order[t:]
-		if len(cols) == 0 {
-			return true
-		}
-		if len(cols) > rm.NumPaths() {
-			return false
-		}
-		sub := rm.DenseColumns(cols)
-		return linalg.RankWorkers(sub, workers) == len(cols)
-	}
-	// Lower bound: at least nc − rank(R) columns must go.
-	lo := nc - rm.Rank()
-	hi := nc
-	if suffixIndependent(lo) {
-		hi = lo
-	}
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if suffixIndependent(mid) {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return append([]int(nil), order[hi:]...)
-}
-
-// greedyBasis performs modified Gram–Schmidt over columns in descending
-// variance order, keeping every column that adds a new direction.
-func greedyBasis(rm *topology.RoutingMatrix, variances []float64) []int {
-	np := rm.NumPaths()
-	order := ascendingByVariance(variances)
-	// Descending.
-	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-		order[i], order[j] = order[j], order[i]
-	}
-	var basis [][]float64
-	var kept []int
-	col := make([]float64, np)
-	tol := 1e-9 * math.Sqrt(float64(np))
-	for _, k := range order {
-		for i := range col {
-			col[i] = 0
-		}
-		for _, p := range rm.PathsThrough(k) {
-			col[p] = 1
-		}
-		norm0 := linalg.Norm2(col)
-		if norm0 == 0 {
-			continue
-		}
-		// Two rounds of MGS for numerical safety.
-		for round := 0; round < 2; round++ {
-			for _, q := range basis {
-				d := linalg.Dot(q, col)
-				for i := range col {
-					col[i] -= d * q[i]
-				}
-			}
-		}
-		if n := linalg.Norm2(col); n > tol*norm0 {
-			q := make([]float64, np)
-			for i := range col {
-				q[i] = col[i] / n
-			}
-			basis = append(basis, q)
-			kept = append(kept, k)
-		}
-	}
-	return kept
 }
 
 // SolveReduced solves the reduced first-order system Y = R*·X* (eq. 9) for

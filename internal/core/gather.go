@@ -27,8 +27,8 @@ type Stats struct {
 	EpochLag int
 	// Rebuilds counts Phase-1 state recomputations over the engine's life.
 	Rebuilds uint64
-	// ElimReuses counts rebuilds that reused the previous elimination
-	// because the variance ordering was unchanged.
+	// ElimReuses is always 0: every rebuild runs the Phase-2 elimination.
+	// The field stays because perfbench reads it.
 	ElimReuses uint64
 	// LastRebuild is the duration of the most recent rebuild (Phase 1 +
 	// elimination); 0 before the first.
@@ -181,17 +181,16 @@ func EpochLag(snapshots, stateEpoch int) int {
 }
 
 // RollUp folds per-component stats into a host's aggregate s, whose
-// Snapshots the host has set: Rebuilds, ElimReuses and RebuildFailures
-// sum, StateEpoch is the oldest component state (-1 while one has none),
-// DegradedComponents counts the Unhealthy components, DirtyComponents the
-// healthy ones with EpochLag > 0, Degraded is set while there is an
-// unhealthy one, and EpochLag follows. The fields
-// whose meaning depends on the host are left as s has them.
+// Snapshots the host has set: Rebuilds and RebuildFailures sum, StateEpoch
+// is the oldest component state (-1 while one has none), DegradedComponents
+// counts the Unhealthy components, DirtyComponents the healthy ones with
+// EpochLag > 0, Degraded is set while there is an unhealthy one, and
+// EpochLag follows. The fields whose meaning depends on the host are left
+// as s has them.
 func RollUp(s Stats, comps []Stats) Stats {
 	epochs := make([]int, len(comps))
 	for c, cs := range comps {
 		s.Rebuilds += cs.Rebuilds
-		s.ElimReuses += cs.ElimReuses
 		s.RebuildFailures += cs.RebuildFailures
 		if Unhealthy(cs) {
 			s.DegradedComponents++

@@ -72,14 +72,14 @@ func TestMergeResultsTotalFailure(t *testing.T) {
 // host's Snapshots.
 func TestRollUp(t *testing.T) {
 	comps := []Stats{
-		{StateEpoch: 10, EpochLag: 2, Rebuilds: 2, ElimReuses: 1},                     // lagging, healthy: dirty
+		{StateEpoch: 10, EpochLag: 2, Rebuilds: 2},                                    // lagging, healthy: dirty
 		{StateEpoch: 8, EpochLag: 4, Rebuilds: 1, RebuildFailures: 1, Degraded: true}, // lagging, degraded: not dirty
 		{StateEpoch: -1, EpochLag: 12, RebuildFailures: 2},                            // failing unbuilt: not dirty
 		{StateEpoch: -1, EpochLag: 12},                                                // not built yet, but not failing either: dirty
 		{StateEpoch: 12},                                                              // warm: not dirty
 	}
 	got := RollUp(Stats{Snapshots: 12, Components: 4}, comps[:2])
-	want := Stats{Snapshots: 12, Components: 4, StateEpoch: 8, EpochLag: 4, Rebuilds: 3, ElimReuses: 1,
+	want := Stats{Snapshots: 12, Components: 4, StateEpoch: 8, EpochLag: 4, Rebuilds: 3,
 		RebuildFailures: 1, Degraded: true, DegradedComponents: 1, DirtyComponents: 1}
 	if got != want {
 		t.Fatalf("RollUp = %+v, want %+v", got, want)

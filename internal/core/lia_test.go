@@ -22,7 +22,7 @@ func TestEliminateKeepsFullRank(t *testing.T) {
 			t.Fatalf("%v: kept+removed != nc", strat)
 		}
 		sub := rm.DenseColumns(kept)
-		if !linalg.HasFullColumnRank(sub) {
+		if linalg.NewPivotedQR(sub).Rank() != len(kept) {
 			t.Fatalf("%v: R* not full column rank", strat)
 		}
 		if len(kept) != rm.Rank() {
@@ -172,7 +172,7 @@ func (l *testLIA) Infer(y []float64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	kept, removed := EliminateWorkers(l.rm, vars, l.opts.Strategy, l.opts.Variance.Workers)
+	kept, removed := Eliminate(l.rm, vars, l.opts.Strategy)
 	x, err := SolveReduced(l.rm, kept, y)
 	if err != nil {
 		return nil, err

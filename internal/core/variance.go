@@ -286,9 +286,9 @@ func estimateNormal(rm *topology.RoutingMatrix, cov stats.CovView, opts Variance
 // accumulateGram assembles the normal-equations system AᵀA·v = AᵀΣ* in two
 // passes over the cached pair index:
 //
-//   - the order-sensitive right-hand side (and the kept-equation count) via
-//     the shard-windowed fold of accumulateRHSInto — bit-deterministic
-//     because shard boundaries depend only on the pair count;
+//   - the order-sensitive right-hand side via the shard-windowed fold of
+//     accumulateRHSInto — bit-deterministic because shard boundaries
+//     depend only on the pair count;
 //   - the Gram matrix G = AᵀA via the row-banded shared-matrix reduction of
 //     accumulateGramInto — one nc×nc matrix total instead of one private
 //     copy per worker, and exact regardless of scheduling because G's
@@ -309,14 +309,13 @@ func accumulateGram(rm *topology.RoutingMatrix, cov stats.CovView, opts Variance
 	if opts.NegPolicy == DropNegativeCov {
 		kept = make([]bool, npairs)
 	}
-	gr.n = accumulateRHSInto(gr.rhs, rm, cov, opts, workers, kept)
+	accumulateRHSInto(gr.rhs, rm, cov, opts, workers, kept)
 	accumulateGramInto(gr.g, rm, kept, workers)
 	return gr
 }
 
 // accumulateRHSInto folds the adjusted right-hand sides AᵀΣ* of every kept
-// equation into dst (length nc, assumed zeroed) and returns the number of
-// equations kept. The pair stream is cut into fixed-size shards processed in
+// equation into dst (length nc, assumed zeroed). The pair stream is cut into fixed-size shards processed in
 // fixed-size windows: workers fan out within a window, then the window's
 // per-shard partial sums fold into dst in shard index order before the next
 // window starts. This bounds staging memory at window·nc floats no matter
@@ -331,47 +330,41 @@ func accumulateGram(rm *topology.RoutingMatrix, cov stats.CovView, opts Variance
 // packed pair indices survived the negative-covariance policy — shards own
 // disjoint ranges, so the concurrent writes are race-free. The cold build
 // hands this bitmap to the Gram pass under DropNegativeCov.
-func accumulateRHSInto(dst []float64, rm *topology.RoutingMatrix, cov stats.CovView, opts VarianceOptions, workers int, kept []bool) int {
+func accumulateRHSInto(dst []float64, rm *topology.RoutingMatrix, cov stats.CovView, opts VarianceOptions, workers int, kept []bool) {
 	nc := rm.NumLinks()
 	npairs := rm.NumPairs()
 	if npairs == 0 {
-		return 0
+		return
 	}
 	shards := (npairs + pairsPerShard - 1) / pairsPerShard
 	window := min(shards, rhsWindowShards)
 	staging := make([]float64, window*nc)
-	shardN := make([]int, shards)
-	total := 0
 	for base := 0; base < shards; base += window {
 		count := min(window, shards-base)
 		par.Do(workers, count, func(_, i int) {
 			s := base + i
-			shardN[s] = accumulateRHSShard(staging[i*nc:(i+1)*nc], rm, cov, opts,
+			accumulateRHSShard(staging[i*nc:(i+1)*nc], rm, cov, opts,
 				s*pairsPerShard, min(s*pairsPerShard+pairsPerShard, npairs), kept)
 		})
 		for i := 0; i < count; i++ {
 			for k, v := range staging[i*nc : (i+1)*nc] {
 				dst[k] += v
 			}
-			total += shardN[base+i]
 		}
 	}
-	return total
 }
 
 // accumulateRHSShard folds the adjusted right-hand sides of the packed pair
 // range [lo, hi) — one shard of the equation stream — into rhs (length nc,
-// zeroed here because staging slots are reused across windows), and returns
-// the kept-equation count.
+// zeroed here because staging slots are reused across windows).
 //
 // When kept is non-nil (length npairs overall) the walk also records which
 // packed pair indices survived the negative-covariance policy; shards own
 // disjoint ranges, so concurrent writes are race-free.
-func accumulateRHSShard(rhs []float64, rm *topology.RoutingMatrix, cov stats.CovView, opts VarianceOptions, lo, hi int, kept []bool) int {
+func accumulateRHSShard(rhs []float64, rm *topology.RoutingMatrix, cov stats.CovView, opts VarianceOptions, lo, hi int, kept []bool) {
 	for i := range rhs {
 		rhs[i] = 0
 	}
-	n := 0
 	p := lo // packed pair index of the current visit
 	rm.VisitPairSupports(lo, hi, func(i, j int, support []int32) {
 		p++
@@ -385,12 +378,10 @@ func accumulateRHSShard(rhs []float64, rm *topology.RoutingMatrix, cov stats.Cov
 		if kept != nil {
 			kept[p-1] = true
 		}
-		n++
 		for _, k := range support {
 			rhs[k] += sigma
 		}
 	})
-	return n
 }
 
 // accumulateGramInto folds the support outer-products of every kept equation

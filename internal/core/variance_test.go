@@ -118,7 +118,7 @@ func TestVarianceOrderingSeparatesCongested(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	order := ascendingByVariance(got)
+	order := VarianceOrder(got)
 	// All congested links must sit in the top |congested| positions.
 	top := order[len(order)-len(congested):]
 	for _, k := range top {

@@ -340,7 +340,7 @@ func RunningTimes(cfg Config, name string) (*Table, error) {
 	phase1MS := time.Since(t1).Seconds() * 1000
 
 	t2 := time.Now()
-	kept, _ := core.EliminateWorkers(w.RM, vars, cfg.Strategy, cfg.Variance.Workers)
+	kept, _ := core.Eliminate(w.RM, vars, cfg.Strategy)
 	if _, err := core.SolveReduced(w.RM, kept, series[cfg.Snapshots].Snap.LogRates()); err != nil {
 		return nil, err
 	}

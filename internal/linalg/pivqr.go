@@ -10,8 +10,9 @@ import (
 
 // PivotedQR is a rank-revealing Householder QR factorization with column
 // pivoting: A·P = Q·R with the diagonal of R non-increasing in magnitude.
-// It is the workhorse behind the rank tests used by the Phase-2 column
-// elimination and the identifiability checks (Lemma 2 of the paper).
+// It backs the minimum-norm fallback of the dense Phase-1 solve, which must
+// resolve a rank-deficient system; exact rank questions about 0/1 matrices
+// go to Span instead.
 type PivotedQR struct {
 	qr   *Dense
 	tau  []float64
@@ -38,9 +39,9 @@ const pivotColChunk = 64
 const minParallelCols = 2 * pivotColChunk
 
 // NewPivotedQRWorkers computes the factorization with the per-step column
-// updates (the hot loop of the Phase-2 elimination's rank tests) distributed
-// over a worker pool. workers == 0 sizes the pool to GOMAXPROCS; values ≤ 1
-// run serial. Results are bitwise-identical across worker counts.
+// updates distributed over a worker pool. workers == 0 sizes the pool to
+// GOMAXPROCS; values ≤ 1 run serial. Results are bitwise-identical across
+// worker counts.
 func NewPivotedQRWorkers(a *Dense, workers int) *PivotedQR {
 	m, n := a.Dims()
 	if workers <= 0 {
@@ -157,46 +158,6 @@ func (f *PivotedQR) RankTol(tol float64) int {
 		}
 	}
 	return r
-}
-
-// Perm returns the column permutation: position k of the factorization holds
-// original column Perm()[k]. The first Rank() entries index a set of linearly
-// independent columns of the original matrix.
-func (f *PivotedQR) Perm() []int {
-	out := make([]int, len(f.perm))
-	copy(out, f.perm)
-	return out
-}
-
-// IndependentColumns returns the original indices of a maximal set of
-// linearly independent columns chosen by the pivoting order.
-func (f *PivotedQR) IndependentColumns() []int {
-	r := f.Rank()
-	out := make([]int, r)
-	copy(out, f.perm[:r])
-	return out
-}
-
-// Rank computes the numerical rank of a.
-func Rank(a *Dense) int {
-	return RankWorkers(a, 1)
-}
-
-// RankWorkers computes the numerical rank of a with the pivoted-QR column
-// updates distributed over a worker pool (0 = GOMAXPROCS, ≤ 1 serial). The
-// result is identical across worker counts.
-func RankWorkers(a *Dense, workers int) int {
-	m, n := a.Dims()
-	if m == 0 || n == 0 {
-		return 0
-	}
-	return NewPivotedQRWorkers(a, workers).Rank()
-}
-
-// HasFullColumnRank reports whether a has numerically full column rank.
-func HasFullColumnRank(a *Dense) bool {
-	_, n := a.Dims()
-	return Rank(a) == n
 }
 
 // SolveMinNorm returns a basic least-squares solution even for rank-deficient

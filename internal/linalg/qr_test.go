@@ -138,7 +138,7 @@ func TestPivotedQRRankKnown(t *testing.T) {
 		{"wide", NewDenseFrom(2, 4, []float64{1, 0, 1, 0, 0, 1, 0, 1}), 2},
 	}
 	for _, c := range cases {
-		if got := Rank(c.m); got != c.rank {
+		if got := NewPivotedQR(c.m).Rank(); got != c.rank {
 			t.Errorf("%s: Rank = %d, want %d", c.name, got, c.rank)
 		}
 	}
@@ -155,7 +155,7 @@ func TestPivotedQRRankRandomProducts(t *testing.T) {
 		b := randomDense(rng, m, k)
 		c := randomDense(rng, k, n)
 		p := b.Mul(c)
-		if got := Rank(p); got != k {
+		if got := NewPivotedQR(p).Rank(); got != k {
 			t.Fatalf("trial %d: rank(B·C) = %d, want %d (m=%d n=%d)", trial, got, k, m, n)
 		}
 	}
@@ -169,12 +169,12 @@ func TestPivotedQRIndependentColumns(t *testing.T) {
 		0, 0, 0,
 	})
 	f := NewPivotedQR(a)
-	ind := f.IndependentColumns()
-	if len(ind) != 2 {
-		t.Fatalf("IndependentColumns len = %d, want 2", len(ind))
+	if f.Rank() != 2 {
+		t.Fatalf("Rank = %d, want 2", f.Rank())
 	}
-	sub := a.SelectColumns(ind)
-	if !HasFullColumnRank(sub) {
+	// The first Rank() pivots index independent columns.
+	sub := a.SelectColumns(f.perm[:f.Rank()])
+	if NewPivotedQR(sub).Rank() != 2 {
 		t.Fatal("selected columns are not independent")
 	}
 }
@@ -197,7 +197,7 @@ func TestPivotedQRSolveMinNorm(t *testing.T) {
 func TestPivotedQRPermIsPermutation(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 5))
 	a := randomDense(rng, 6, 6)
-	perm := NewPivotedQR(a).Perm()
+	perm := NewPivotedQR(a).perm
 	seen := make(map[int]bool)
 	for _, p := range perm {
 		if p < 0 || p >= 6 || seen[p] {

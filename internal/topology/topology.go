@@ -219,9 +219,14 @@ func (rm *RoutingMatrix) DenseColumns(cols []int) *linalg.Dense {
 	return d
 }
 
-// Rank returns the numerical rank of R.
+// Rank returns the exact rank of R: every column goes through one
+// linalg.Span.
 func (rm *RoutingMatrix) Rank() int {
-	return linalg.Rank(rm.Dense())
+	span := linalg.NewSpan(rm.NumPaths())
+	for _, col := range rm.cols {
+		span.Add(col)
+	}
+	return span.Rank()
 }
 
 // IntersectRows returns the sorted intersection of the virtual-link sets of

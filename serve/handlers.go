@@ -128,7 +128,6 @@ type TopoStatus struct {
 	StateEpoch    int     `json:"state_epoch"`
 	EpochLag      int     `json:"epoch_lag"`
 	Rebuilds      uint64  `json:"rebuilds"`
-	ElimReuses    uint64  `json:"elim_reuses"`
 	LastRebuildMs float64 `json:"last_rebuild_ms"`
 
 	// DirtyComponents mirrors lia.Stats: the healthy components of a
@@ -424,7 +423,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 			StateEpoch:    st.StateEpoch,
 			EpochLag:      st.EpochLag,
 			Rebuilds:      st.Rebuilds,
-			ElimReuses:    st.ElimReuses,
 			LastRebuildMs: float64(st.LastRebuild) / float64(time.Millisecond),
 
 			DirtyComponents: st.DirtyComponents,

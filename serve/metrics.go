@@ -39,8 +39,6 @@ var metricDefs = []metricDef{
 		func(m *topoMetrics) float64 { return float64(m.tp.inferences.Load()) }},
 	{"liaserve_rebuilds_total", "Phase-1 state rebuilds.", "counter",
 		func(m *topoMetrics) float64 { return float64(m.st.Rebuilds) }},
-	{"liaserve_elim_reuses_total", "Rebuilds that reused the cached Phase-2 elimination.", "counter",
-		func(m *topoMetrics) float64 { return float64(m.st.ElimReuses) }},
 	{"liaserve_rebuild_last_seconds", "Duration of the most recent rebuild.", "gauge",
 		func(m *topoMetrics) float64 { return m.st.LastRebuild.Seconds() }},
 	{"liaserve_epoch_lag", "Snapshots ingested but not yet absorbed by the served state.", "gauge",

@@ -138,7 +138,7 @@ func (sc *shardComponent) scatter(y []float64, dst []float64) []float64 {
 // ShardedEngine runs one inference session over a partitioned routing
 // matrix: the topology's link-connected components (see topology.Partition)
 // each get their own complete solver — accumulator, cached Phase-1
-// Gram/Cholesky factorization and Phase-2 elimination cache — and the
+// Gram/Cholesky factorization and Phase-2 elimination — and the
 // components are grouped into shards that rebuild concurrently. Ingested
 // snapshots are scattered to the per-component accumulators; Infer,
 // Variances and Steady gather the per-component results back into global
