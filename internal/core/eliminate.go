@@ -106,8 +106,8 @@ func SolveReduced(rm *topology.RoutingMatrix, kept []int, y []float64) ([]float6
 		return nil, fmt.Errorf("core: snapshot of %d paths, routing matrix has %d: %w",
 			len(y), rm.NumPaths(), ErrDimensionMismatch)
 	}
-	sub := rm.DenseColumns(kept)
-	x, err := linalg.SolveLeastSquares(sub, y)
+	// R* is built only for this solve, so it is factored in place.
+	x, err := linalg.SolveLeastSquaresInPlace(rm.DenseColumns(kept), y)
 	if err != nil {
 		return nil, fmt.Errorf("core: reduced solve over %d links: %w", len(kept), err)
 	}

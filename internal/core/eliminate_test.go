@@ -20,7 +20,7 @@ func floatEliminate(rm *topology.RoutingMatrix, variances []float64, strategy El
 	if strategy == EliminateGreedyBasis {
 		kept = greedyBasis(rm, variances)
 	} else {
-		kept = sequentialSuffix(rm, variances, 0)
+		kept = sequentialSuffix(rm, variances)
 	}
 	slices.Sort(kept)
 	return kept
@@ -30,7 +30,7 @@ func floatEliminate(rm *topology.RoutingMatrix, variances []float64, strategy El
 // (nc−t) largest variances are linearly independent — exactly the state the
 // paper's remove-smallest loop terminates in — via binary search (suffix
 // independence is monotone in t).
-func sequentialSuffix(rm *topology.RoutingMatrix, variances []float64, workers int) []int {
+func sequentialSuffix(rm *topology.RoutingMatrix, variances []float64) []int {
 	nc := rm.NumLinks()
 	order := VarianceOrder(variances)
 	suffixIndependent := func(t int) bool {
@@ -42,7 +42,7 @@ func sequentialSuffix(rm *topology.RoutingMatrix, variances []float64, workers i
 			return false
 		}
 		sub := rm.DenseColumns(cols)
-		return linalg.NewPivotedQRWorkers(sub, workers).Rank() == len(cols)
+		return linalg.NewPivotedQR(sub).Rank() == len(cols)
 	}
 	// Lower bound: at least nc − rank(R) columns must go.
 	lo := nc - rm.Rank()

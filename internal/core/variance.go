@@ -204,24 +204,23 @@ func estimateDense(rm *topology.RoutingMatrix, cov stats.CovView, opts VarianceO
 		return nil, fmt.Errorf("core: only %d usable covariance equations for %d links: %w",
 			len(rows), nc, ErrUnidentifiable)
 	}
-	a := linalg.NewDense(len(rows), nc)
-	for r, support := range rows {
-		for _, k := range support {
-			a.Set(r, int(k), 1)
+	augmented := func() *linalg.Dense {
+		a := linalg.NewDense(len(rows), nc)
+		for r, support := range rows {
+			for _, k := range support {
+				a.Set(r, int(k), 1)
+			}
 		}
+		return a
 	}
-	v, err := linalg.SolveLeastSquares(a, rhs)
+	// A is built only for this solve, so it is factored in place.
+	v, err := linalg.SolveLeastSquaresInPlace(augmented(), rhs)
 	if errors.Is(err, linalg.ErrRankDeficient) {
 		// Dropped equations (DropNegativeCov) can cost full column rank;
 		// fall back to the minimum-norm basic solution, which resolves only
-		// the identifiable directions and zeroes the rest. The fallback
-		// factorization honors the same worker pool as the rest of Phase 1
-		// (pivoted QR is bitwise-deterministic across worker counts).
-		w := opts.Workers
-		if w < 0 {
-			w = 1 // explicit serial request, matching shardWorkers
-		}
-		return linalg.NewPivotedQRWorkers(a, w).SolveMinNorm(rhs), nil
+		// the identifiable directions and zeroes the rest. The failed solve
+		// overwrote A, so the fallback rebuilds it.
+		return linalg.NewPivotedQR(augmented()).SolveMinNorm(rhs), nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("core: dense variance solve: %w", err)

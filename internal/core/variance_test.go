@@ -6,6 +6,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"lia/internal/linalg"
 	"lia/internal/stats"
 	"lia/internal/topogen"
 	"lia/internal/topology"
@@ -236,6 +237,57 @@ func TestNegativeWorkersFallsBackToSerial(t *testing.T) {
 	for k := range serial {
 		if serial[k] != neg[k] {
 			t.Fatalf("link %d: Workers=-3 gave %g, serial %g", k, neg[k], serial[k])
+		}
+	}
+}
+
+// fixedCov is a CovView over a given covariance matrix.
+type fixedCov [][]float64
+
+func (c fixedCov) Dim() int             { return len(c) }
+func (c fixedCov) Count() int           { return 100 }
+func (c fixedCov) Cov(i, j int) float64 { return c[i][j] }
+
+// TestDenseRankDeficientFallback drops the negative covariances of both
+// sibling pairs of a two-level tree: A keeps 8 rows for 7 links but has
+// rank 5, so the dense solve fails and estimateDense must return the
+// minimum-norm solution of A itself — not of the factor the failed
+// in-place solve left behind.
+func TestDenseRankDeficientFallback(t *testing.T) {
+	rm, err := topology.Build([]topology.Path{
+		{Beacon: 0, Dst: 1, Links: []int{0, 1, 3}},
+		{Beacon: 0, Dst: 2, Links: []int{0, 1, 4}},
+		{Beacon: 0, Dst: 3, Links: []int{0, 2, 5}},
+		{Beacon: 0, Dst: 4, Links: []int{0, 2, 6}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cov := fixedCov{
+		{0.9, -0.1, 0.2, 0.3},
+		{-0.1, 0.8, 0.25, 0.15},
+		{0.2, 0.25, 0.7, -0.05},
+		{0.3, 0.15, -0.05, 0.6},
+	}
+	opts := VarianceOptions{Method: VarianceDenseQR, NegPolicy: DropNegativeCov}
+	got, err := EstimateVariances(rm, cov, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, rhs := collectEquations(rm, cov, opts)
+	a := linalg.NewDense(len(rows), rm.NumLinks())
+	for r, support := range rows {
+		for _, k := range support {
+			a.Set(r, int(k), 1)
+		}
+	}
+	if _, err := linalg.SolveLeastSquares(a, rhs); !errors.Is(err, linalg.ErrRankDeficient) {
+		t.Fatalf("%d×%d system: err = %v, want ErrRankDeficient", len(rows), rm.NumLinks(), err)
+	}
+	want := linalg.NewPivotedQR(a).SolveMinNorm(rhs)
+	for k := range want {
+		if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+			t.Fatalf("link %d: %v, want %v", k, got[k], want[k])
 		}
 	}
 }

@@ -98,11 +98,25 @@ func BenchmarkCholeskySolveTo(b *testing.B) {
 	}
 }
 
+// BenchmarkQRFactorize times NewQR on a Gaussian matrix, on the 600×600
+// 0/1 R* of a 600-leaf tree (the Phase-2 solve behind every inference on a
+// 600-path component) and on a 325×39 0/1 augmented matrix (the dense
+// Phase-1 solve of one 25-path component).
 func BenchmarkQRFactorize(b *testing.B) {
-	m := benchMat(benchSize*2, benchSize)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = NewQR(m)
+	rng := rand.New(rand.NewPCG(100, 300))
+	for _, c := range []struct {
+		name string
+		a    *Dense
+	}{
+		{"gaussian512x256", benchMat(benchSize*2, benchSize)},
+		{"treeRStar600", treeRStar(rng, 220, 600)},
+		{"augmented325x39", treeAugmented(rng, 14, 25)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_ = NewQR(c.a)
+			}
+		})
 	}
 }

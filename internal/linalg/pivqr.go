@@ -3,9 +3,6 @@ package linalg
 import (
 	"fmt"
 	"math"
-	"runtime"
-
-	"lia/internal/par"
 )
 
 // PivotedQR is a rank-revealing Householder QR factorization with column
@@ -21,35 +18,9 @@ type PivotedQR struct {
 }
 
 // NewPivotedQR computes the factorization of a (any shape; the input is not
-// modified) on a single goroutine.
+// modified).
 func NewPivotedQR(a *Dense) *PivotedQR {
-	return NewPivotedQRWorkers(a, 1)
-}
-
-// pivotColChunk is the fixed width of the column blocks the parallel
-// factorization distributes. Every per-column quantity (initial norm,
-// reflector application, norm downdate) depends only on its own column, so
-// the chunking — and therefore the worker count — never changes a single
-// bit of the result; it only changes who computes it.
-const pivotColChunk = 64
-
-// minParallelCols is the trailing-matrix width below which the factorization
-// stays serial even when workers are available: per-step goroutine dispatch
-// dominates narrow updates.
-const minParallelCols = 2 * pivotColChunk
-
-// NewPivotedQRWorkers computes the factorization with the per-step column
-// updates distributed over a worker pool. workers == 0 sizes the pool to
-// GOMAXPROCS; values ≤ 1 run serial. Results are bitwise-identical across
-// worker counts.
-func NewPivotedQRWorkers(a *Dense, workers int) *PivotedQR {
 	m, n := a.Dims()
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if n < minParallelCols {
-		workers = 1
-	}
 	f := &PivotedQR{qr: a.Clone(), tau: make([]float64, min(m, n)), perm: make([]int, n), m: m, n: n}
 	for j := range f.perm {
 		f.perm[j] = j
@@ -57,35 +28,16 @@ func NewPivotedQRWorkers(a *Dense, workers int) *PivotedQR {
 	// Column squared norms, updated as the factorization proceeds.
 	norms := make([]float64, n)
 	exact := make([]float64, n)
-	initNorms := func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			var s float64
-			for i := 0; i < m; i++ {
-				v := f.qr.At(i, j)
-				s += v * v
-			}
-			norms[j] = s
-			exact[j] = s
+	for j := 0; j < n; j++ {
+		var s float64
+		for i := 0; i < m; i++ {
+			v := f.qr.At(i, j)
+			s += v * v
 		}
+		norms[j] = s
+		exact[j] = s
 	}
-	// Per-worker reflector-application scratch, reused across steps.
-	scratch := make([][]float64, workers)
-	scratch[0] = make([]float64, n)
-	forChunks := func(from int, do func(lo, hi int, w []float64)) {
-		if workers <= 1 || n-from < minParallelCols {
-			do(from, n, scratch[0])
-			return
-		}
-		chunks := (n - from + pivotColChunk - 1) / pivotColChunk
-		par.Do(workers, chunks, func(worker, c int) {
-			if scratch[worker] == nil {
-				scratch[worker] = make([]float64, n)
-			}
-			lo := from + c*pivotColChunk
-			do(lo, min(lo+pivotColChunk, n), scratch[worker])
-		})
-	}
-	forChunks(0, func(lo, hi int, _ []float64) { initNorms(lo, hi) })
+	w := make([]float64, n) // reflector-application scratch, reused across steps
 	steps := min(m, n)
 	for k := 0; k < steps; k++ {
 		// Pick the remaining column with the largest updated norm.
@@ -102,26 +54,22 @@ func NewPivotedQRWorkers(a *Dense, workers int) *PivotedQR {
 			f.perm[k], f.perm[best] = f.perm[best], f.perm[k]
 		}
 		f.tau[k] = houseColumn(f.qr, k, k)
-		// Apply the reflector and downdate the column norms, chunked over the
-		// trailing columns; recompute a norm when cancellation bites (LAPACK
-		// dgeqpf). Each column's arithmetic is chunk-local, so the parallel
-		// and serial paths produce the same bits.
-		forChunks(k+1, func(lo, hi int, w []float64) {
-			applyHouseLeftCols(f.qr, k, k, f.tau[k], lo, hi, w)
-			for j := lo; j < hi; j++ {
-				r := f.qr.At(k, j)
-				norms[j] -= r * r
-				if norms[j] <= 1e-12*exact[j] || norms[j] < 0 {
-					var s float64
-					for i := k + 1; i < m; i++ {
-						v := f.qr.At(i, j)
-						s += v * v
-					}
-					norms[j] = s
-					exact[j] = s
+		// Apply the reflector and downdate the column norms; recompute a
+		// norm when cancellation bites (LAPACK dgeqpf).
+		applyHouseLeft(f.qr, k, k, f.tau[k], k+1, w)
+		for j := k + 1; j < n; j++ {
+			r := f.qr.At(k, j)
+			norms[j] -= r * r
+			if norms[j] <= 1e-12*exact[j] || norms[j] < 0 {
+				var s float64
+				for i := k + 1; i < m; i++ {
+					v := f.qr.At(i, j)
+					s += v * v
 				}
+				norms[j] = s
+				exact[j] = s
 			}
-		})
+		}
 	}
 	return f
 }

@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -268,5 +269,269 @@ func TestQRZeroColumnMatrix(t *testing.T) {
 	x, err := NewQR(a).Solve([]float64{1, 2, 3})
 	if err != nil || len(x) != 0 {
 		t.Fatalf("x=%v err=%v, want empty solution", x, err)
+	}
+}
+
+// twoSweepQR is the textbook Householder QR that NewQR's look-ahead kernel
+// must reproduce bit for bit: form reflector k, then apply it to the
+// trailing columns in two sweeps (w ← τ·vᵀA, A ← A − v·w).
+func twoSweepQR(a *Dense) *QR {
+	m, n := a.Dims()
+	f := &QR{qr: a.Clone(), tau: make([]float64, n), m: m, n: n}
+	w := make([]float64, n)
+	for k := 0; k < n; k++ {
+		f.tau[k] = houseColumn(f.qr, k, k)
+		applyHouseLeft(f.qr, k, k, f.tau[k], k+1, w)
+	}
+	return f
+}
+
+// randomTree returns the leaf-to-root link lists of a random tree with the
+// given numbers of internal nodes and leaves, every internal node having at
+// least two children. Link 0 is the access link that every path crosses;
+// links 1…internal−1 end at internal nodes and the rest at leaves.
+// children[u] lists the links hanging below internal node u.
+func randomTree(rng *rand.Rand, internal, leaves int) (paths [][]int, children [][]int) {
+	for {
+		parent := make([]int, internal+leaves)
+		parent[0] = -1
+		children = make([][]int, internal)
+		for u := 1; u < internal; u++ {
+			parent[u] = rng.IntN(u)
+			children[parent[u]] = append(children[parent[u]], u)
+		}
+		var short []int // internal nodes still owed a child, one entry per owed child
+		for u := range children {
+			for c := len(children[u]); c < 2; c++ {
+				short = append(short, u)
+			}
+		}
+		if len(short) > leaves {
+			continue
+		}
+		for l := 0; l < leaves; l++ {
+			u := rng.IntN(internal)
+			if l < len(short) {
+				u = short[l]
+			}
+			parent[internal+l] = u
+			children[u] = append(children[u], internal+l)
+		}
+		paths = make([][]int, leaves)
+		for l := range paths {
+			for e := internal + l; e >= 0; e = parent[e] {
+				paths[l] = append(paths[l], e)
+			}
+		}
+		return paths, children
+	}
+}
+
+// treeRStar builds a leaves×leaves reduced routing matrix R* of a random
+// tree: every link except one random child link of each internal node, the
+// dense access-link column included, in a random column order. It has full
+// column rank, as the kept set of a Phase-2 elimination does.
+func treeRStar(rng *rand.Rand, internal, leaves int) *Dense {
+	paths, children := randomTree(rng, internal, leaves)
+	dropped := make(map[int]bool, internal)
+	for _, c := range children {
+		dropped[c[rng.IntN(len(c))]] = true
+	}
+	var kept []int
+	for e := 0; e < internal+leaves; e++ {
+		if !dropped[e] {
+			kept = append(kept, e)
+		}
+	}
+	rng.Shuffle(len(kept), func(i, j int) { kept[i], kept[j] = kept[j], kept[i] })
+	col := make(map[int]int, len(kept))
+	for j, e := range kept {
+		col[e] = j
+	}
+	a := NewDense(leaves, len(kept))
+	for i, p := range paths {
+		for _, e := range p {
+			if j, ok := col[e]; ok {
+				a.Set(i, j, 1)
+			}
+		}
+	}
+	return a
+}
+
+// treeAugmented builds the 0/1 augmented matrix of a random tree's Phase-1
+// covariance equations: one row per path pair (i ≤ j) with a 1 on every
+// link the two paths share, one column per link.
+func treeAugmented(rng *rand.Rand, internal, leaves int) *Dense {
+	paths, _ := randomTree(rng, internal, leaves)
+	a := NewDense(leaves*(leaves+1)/2, internal+leaves)
+	r := 0
+	for i := range paths {
+		on := make(map[int]bool, len(paths[i]))
+		for _, e := range paths[i] {
+			on[e] = true
+		}
+		for j := i; j < len(paths); j++ {
+			for _, e := range paths[j] {
+				if on[e] {
+					a.Set(r, e, 1)
+				}
+			}
+			r++
+		}
+	}
+	return a
+}
+
+// blockDiagonal stacks Gaussian blocks of the given shapes down the
+// diagonal. At each block boundary one reflector's entries are zero on the
+// rows where the next one's are not, and the reverse.
+func blockDiagonal(rng *rand.Rand, blocks [][2]int) *Dense {
+	var m, n int
+	for _, b := range blocks {
+		m, n = m+b[0], n+b[1]
+	}
+	a := NewDense(m, n)
+	i0, j0 := 0, 0
+	for _, b := range blocks {
+		for i := 0; i < b[0]; i++ {
+			for j := 0; j < b[1]; j++ {
+				a.Set(i0+i, j0+j, rng.NormFloat64())
+			}
+		}
+		i0, j0 = i0+b[0], j0+b[1]
+	}
+	return a
+}
+
+// sparseGaussian keeps each entry of a Gaussian matrix with probability p.
+func sparseGaussian(rng *rand.Rand, m, n int, p float64) *Dense {
+	a := NewDense(m, n)
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			if rng.Float64() < p {
+				a.Set(i, j, rng.NormFloat64())
+			}
+		}
+	}
+	return a
+}
+
+// negateZeros stores a's zeros as −0, which tells a skipped term from an
+// added 0·x: the latter turns some of them into +0.
+func negateZeros(a *Dense) *Dense {
+	for i, v := range a.data {
+		if v == 0 {
+			a.data[i] = math.Copysign(0, -1)
+		}
+	}
+	return a
+}
+
+// TestQRMatchesTwoSweepBitwise pins NewQR's look-ahead kernel to the
+// textbook two-sweep factorization: the packed factor, tau and every Solve
+// result (or the rank-deficiency error and its column) must agree to the
+// bit, so swapping kernels cannot move any fingerprint.
+func TestQRMatchesTwoSweepBitwise(t *testing.T) {
+	rng := rand.New(rand.NewPCG(22, 600))
+	triangular := NewDenseFrom(4, 3, []float64{
+		2, 1, 0,
+		0, 3, 1,
+		0, 0, 0,
+		0, 0, 0,
+	})
+	// Column 2's subdiagonal squares underflow to zero, so tau[2] == 0
+	// while its reflector entries are not, and the reflector must be
+	// skipped: applying it would write into the zeros of column 4.
+	underflow := NewDense(7, 5)
+	for i := 0; i < 7; i++ {
+		for j := 0; j < 5; j++ {
+			switch {
+			case i < 3:
+				underflow.Set(i, j, rng.NormFloat64())
+			case j == 2:
+				underflow.Set(i, j, 1e-170*rng.NormFloat64())
+			case j == 3:
+				underflow.Set(i, j, rng.NormFloat64())
+			}
+		}
+	}
+	// Rows of −0 are skipped by every reflector and must stay −0.
+	zeroRows := randomDense(rng, 12, 6)
+	for _, i := range []int{2, 3, 7, 11} {
+		for j := 0; j < 6; j++ {
+			zeroRows.Set(i, j, math.Copysign(0, -1))
+		}
+	}
+	zeroCol := randomDense(rng, 6, 4)
+	for i := 0; i < 6; i++ {
+		zeroCol.Set(i, 1, 0)
+	}
+	cases := []struct {
+		name string
+		a    *Dense
+	}{
+		{"tree R* 600", treeRStar(rng, 220, 600)},
+		{"tree R* 37", treeRStar(rng, 12, 37)},
+		{"augmented 325x39", treeAugmented(rng, 14, 25)},
+		{"augmented 325x39 b", treeAugmented(rng, 14, 25)},
+		{"gaussian 50x20", randomDense(rng, 50, 20)},
+		{"gaussian 51x20", randomDense(rng, 51, 20)},
+		{"gaussian 9x9", randomDense(rng, 9, 9)},
+		{"gaussian 8x8", randomDense(rng, 8, 8)},
+		{"sparse 41x30", sparseGaussian(rng, 41, 30, 0.15)},
+		{"sparse 40x40", sparseGaussian(rng, 40, 40, 0.3)},
+		{"block diagonal", blockDiagonal(rng, [][2]int{{3, 2}, {4, 3}, {2, 2}, {5, 1}, {3, 3}})},
+		{"sparse 31x24 -0", negateZeros(sparseGaussian(rng, 31, 24, 0.3))},
+		{"block diagonal -0", negateZeros(blockDiagonal(rng, [][2]int{{4, 2}, {3, 3}, {2, 1}, {5, 3}, {2, 2}}))},
+		{"underflow", underflow},
+		{"-0 rows", zeroRows},
+		{"triangular", triangular},
+		{"identity", NewDenseFrom(3, 3, []float64{1, 0, 0, 0, 1, 0, 0, 0, 1})},
+		{"zero column", zeroCol},
+		{"all zero", NewDense(5, 3)},
+		{"0x0", NewDense(0, 0)},
+		{"3x0", NewDense(3, 0)},
+		{"1x1", randomDense(rng, 1, 1)},
+		{"4x1", randomDense(rng, 4, 1)},
+		{"2x2", randomDense(rng, 2, 2)},
+		{"5x2", randomDense(rng, 5, 2)},
+	}
+	for _, c := range cases {
+		m, n := c.a.Dims()
+		orig := c.a.Clone()
+		got, want := NewQR(c.a), twoSweepQR(c.a)
+		for i := 0; i < m; i++ {
+			for j := 0; j < n; j++ {
+				if c.a.At(i, j) != orig.At(i, j) {
+					t.Fatalf("%s: NewQR modified its input at (%d,%d)", c.name, i, j)
+				}
+				if g, w := got.qr.At(i, j), want.qr.At(i, j); math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("%s: factor (%d,%d) = %v, want %v", c.name, i, j, g, w)
+				}
+			}
+		}
+		for k := range want.tau {
+			if math.Float64bits(got.tau[k]) != math.Float64bits(want.tau[k]) {
+				t.Fatalf("%s: tau[%d] = %v, want %v", c.name, k, got.tau[k], want.tau[k])
+			}
+		}
+		for trial := 0; trial < 3; trial++ {
+			b := randVec(rng, m)
+			xg, errg := got.Solve(b)
+			xw, errw := want.Solve(b)
+			xi, erri := SolveLeastSquaresInPlace(c.a.Clone(), b)
+			if fmt.Sprint(errg) != fmt.Sprint(errw) || fmt.Sprint(erri) != fmt.Sprint(errw) {
+				t.Fatalf("%s: errors %v / %v (in place), want %v", c.name, errg, erri, errw)
+			}
+			if errw != nil && !errors.Is(errg, ErrRankDeficient) {
+				t.Fatalf("%s: error %v, want ErrRankDeficient", c.name, errg)
+			}
+			for j := range xw {
+				if math.Float64bits(xg[j]) != math.Float64bits(xw[j]) || math.Float64bits(xi[j]) != math.Float64bits(xw[j]) {
+					t.Fatalf("%s: x[%d] = %v / %v (in place), want %v", c.name, j, xg[j], xi[j], xw[j])
+				}
+			}
+		}
 	}
 }

@@ -115,9 +115,9 @@ func (s *settings) effectiveDecay() float64 {
 type Option func(*settings)
 
 // WithWorkers bounds the goroutines used by the parallel Phase-1
-// accumulation and its dense fallback solve. 0 (the default)
-// sizes pools to GOMAXPROCS; 1 forces serial execution. Every setting
-// produces bit-identical results — parallelism never changes the answer.
+// accumulation. 0 (the default) sizes pools to GOMAXPROCS; 1 forces
+// serial execution. Every setting produces bit-identical results —
+// parallelism never changes the answer.
 func WithWorkers(n int) Option {
 	return func(s *settings) { s.opts.Variance.Workers = n }
 }
