@@ -60,7 +60,7 @@ func TestPublicAPIFullPipeline(t *testing.T) {
 		t.Fatalf("AugmentedRank = %d, want %d", got, rm.NumLinks())
 	}
 
-	eng, err := lia.NewEngine(rm, lia.WithWorkers(2), lia.WithStrategy(lia.StrategyPaperSequential))
+	eng, err := lia.NewEngine(rm, lia.WithStrategy(lia.StrategyPaperSequential))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestConcurrentIngestInfer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := lia.NewEngine(rm, lia.WithWorkers(2))
+	eng, err := lia.NewEngine(rm)
 	if err != nil {
 		t.Fatal(err)
 	}

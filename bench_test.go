@@ -253,20 +253,6 @@ func ablationRun(b *testing.B, cfg experiments.Config) stats.Detection {
 	return r.LIA.Det
 }
 
-func BenchmarkAblationVarianceSolver(b *testing.B) {
-	for _, method := range []core.VarianceMethod{core.VarianceDenseQR, core.VarianceNormalEquations} {
-		b.Run(method.String(), func(b *testing.B) {
-			cfg := benchConfig()
-			cfg.Scale = 0.2 // dense QR is the expensive leg
-			cfg.Variance.Method = method
-			for i := 0; i < b.N; i++ {
-				det := ablationRun(b, cfg)
-				b.ReportMetric(det.DR, "DR")
-			}
-		})
-	}
-}
-
 func BenchmarkAblationElimination(b *testing.B) {
 	for _, strat := range []core.Elimination{core.EliminatePaperSequential, core.EliminateGreedyBasis} {
 		b.Run(strat.String(), func(b *testing.B) {
@@ -318,7 +304,7 @@ func BenchmarkAblationS1Sharing(b *testing.B) {
 }
 
 func BenchmarkAblationNegativeCovPolicy(b *testing.B) {
-	for _, pol := range []core.NegativeCovPolicy{core.ClampNegativeCov, core.DropNegativeCov, core.KeepNegativeCov} {
+	for _, pol := range []core.NegativeCovPolicy{core.ClampNegativeCov, core.DropNegativeCov} {
 		b.Run(pol.String(), func(b *testing.B) {
 			cfg := benchConfig()
 			cfg.Variance.NegPolicy = pol
@@ -423,30 +409,19 @@ func benchCov(b *testing.B, w *experiments.Workload, series []experiments.Snapsh
 }
 
 // BenchmarkEstimateVariances measures Phase 1 proper (the Σ* = A·v solve)
-// for both solver methods, serial vs sharded. Workers=0 sizes the pool to
-// GOMAXPROCS; compare the serial and parallel rows, and run with -cpu to
-// scale the pool.
+// on the solver the topology selects, with pools sized to GOMAXPROCS; run
+// with -cpu to scale them. The per-solver serial and parallel legs live in
+// internal/core.
 func BenchmarkEstimateVariances(b *testing.B) {
 	w, series := benchWorkload(b)
 	acc := benchCov(b, w, series)
 	w.RM.PrecomputePairSupports() // one-time index build is not timed here
-	for _, cfg := range []struct {
-		name string
-		opts core.VarianceOptions
-	}{
-		{"normal/serial", core.VarianceOptions{Method: core.VarianceNormalEquations, Workers: 1}},
-		{"normal/parallel", core.VarianceOptions{Method: core.VarianceNormalEquations, Workers: 0}},
-		{"dense/serial", core.VarianceOptions{Method: core.VarianceDenseQR, Workers: 1}},
-		{"dense/parallel", core.VarianceOptions{Method: core.VarianceDenseQR, Workers: 0}},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.EstimateVariances(w.RM, acc, cfg.opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.EstimateVariances(w.RM, acc, core.VarianceOptions{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -529,7 +504,7 @@ func BenchmarkEngineRebuild(b *testing.B) {
 	if err := rm.PrecomputePairSupports(); err != nil {
 		b.Fatal(err)
 	}
-	opts := core.VarianceOptions{} // Auto resolves to normal equations at this scale
+	opts := core.VarianceOptions{} // the size rule picks normal equations at this scale
 	p1 := core.NewPhase1(rm, opts)
 	cold, err := core.EstimateVariances(rm, acc, opts)
 	if err != nil {
@@ -618,7 +593,7 @@ func BenchmarkEngineEpochRebuild(b *testing.B) {
 // benchShardedWorkload builds the sharding scale target: four link-disjoint
 // 150-path trees in one 600-path routing matrix. Every path of a tree
 // shares the tree's root uplink, so each tree is exactly one link-connected
-// component — and at 150 paths each component's Auto solver resolves to the
+// component — and at 150 paths the size rule sends each component to the
 // cacheable normal-equations path, the serving regime. The unsharded engine
 // walks all 180 300 augmented pairs per rebuild; the partitioned engine
 // walks 4 × 11 325 (cross-component pairs have empty supports and vanish)
@@ -727,15 +702,17 @@ func BenchmarkShardedEngineRebuild(b *testing.B) {
 	b.Run("sharded", bench(se4))
 }
 
-// benchWindowedWorkload builds the windowed-rebuild target: twenty-four
-// link-disjoint 25-path trees in one 600-path routing matrix.
+// benchWindowedWorkload builds the windowed-rebuild target: four
+// link-disjoint 150-path trees in one 600-path routing matrix. Components
+// of this size are past the dense-QR budget, so each solves by the cached
+// normal equations.
 func benchWindowedWorkload(b testing.TB) *topology.RoutingMatrix {
 	b.Helper()
-	const comps, compPaths = 24, 25
+	const comps, compPaths = 4, 150
 	var paths []topology.Path
 	for c := 0; c < comps; c++ {
 		rng := rand.New(rand.NewPCG(52, uint64(c)))
-		net := topogen.Tree(rng, 100, 4)
+		net := topogen.Tree(rng, 400, 4)
 		if len(net.Hosts) < compPaths {
 			b.Fatalf("component %d tree has %d hosts, need %d", c, len(net.Hosts), compPaths)
 		}
@@ -764,10 +741,10 @@ func benchWindowedWorkload(b testing.TB) *topology.RoutingMatrix {
 }
 
 // BenchmarkEngineWindowedRebuild measures one sharded rebuild wave at the
-// 600-path scale (24 components of 25 paths), with windowed moments:
+// 600-path scale (4 components of 150 paths), with windowed moments:
 //
 //   - cold: a from-scratch rebuild wave — full Phase-1 fold, Cholesky and
-//     elimination for all twenty-four components (engine construction and
+//     elimination for all four components (engine construction and
 //     window fill are excluded from the timing);
 //   - warm: one snapshot plus the rebuild wave it triggers — every
 //     component refolds its Phase-1 right-hand side against its cached
@@ -785,16 +762,9 @@ func BenchmarkEngineWindowedRebuild(b *testing.B) {
 		}
 		pool[t] = y
 	}
-	// At 25 paths per component VarianceAuto would pick dense QR, which
-	// caches no factor; pin the cacheable normal-equations solver — the
-	// method any long-running deployment at scale resolves to — so warm
-	// waves reuse the Cholesky factor.
 	newEngine := func(b *testing.B) *lia.ShardedEngine {
 		b.Helper()
-		se, err := lia.NewShardedEngine(rm,
-			lia.WithShards(4),
-			lia.WithWindow(window),
-			lia.WithVarianceMethod(lia.VarianceNormalEquations))
+		se, err := lia.NewShardedEngine(rm, lia.WithShards(4), lia.WithWindow(window))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -63,12 +63,10 @@ type EngineOptions struct {
 	// including 0) only when ThresholdSet is true.
 	Threshold    float64 `json:"threshold,omitempty"`
 	ThresholdSet bool    `json:"threshold_set,omitempty"`
-	// Window / Decay select windowed or decayed moments (0 = cumulative).
+	// Window / Decay select windowed or decayed moments (0 = cumulative;
+	// any other value reaches lia's validation).
 	Window int     `json:"window,omitempty"`
 	Decay  float64 `json:"decay,omitempty"`
-	// Workers bounds each solver's Phase-1/Phase-2 goroutines (0 =
-	// GOMAXPROCS on the node).
-	Workers int `json:"workers,omitempty"`
 }
 
 // Options converts the wire form into lia engine options.
@@ -84,14 +82,11 @@ func (o EngineOptions) Options() ([]lia.Option, error) {
 	if o.ThresholdSet {
 		opts = append(opts, lia.WithThreshold(o.Threshold))
 	}
-	if o.Window > 0 {
+	if o.Window != 0 {
 		opts = append(opts, lia.WithWindow(o.Window))
 	}
-	if o.Decay > 0 {
+	if o.Decay != 0 {
 		opts = append(opts, lia.WithDecay(o.Decay))
-	}
-	if o.Workers > 0 {
-		opts = append(opts, lia.WithWorkers(o.Workers))
 	}
 	return opts, nil
 }

@@ -185,7 +185,8 @@ func NewFleet(rm *lia.RoutingMatrix, cfg FleetConfig) (*Fleet, error) {
 	if cfg.Size < 1 {
 		return nil, fmt.Errorf("cluster: fleet size %d must be >= 1", cfg.Size)
 	}
-	if _, err := cfg.Options.Options(); err != nil {
+	opts, err := cfg.Options.Options()
+	if err != nil {
 		return nil, err
 	}
 	if cfg.Client == nil {
@@ -211,18 +212,25 @@ func NewFleet(rm *lia.RoutingMatrix, cfg FleetConfig) (*Fleet, error) {
 		owners: make([]*nodeClient, part.NumComponents()),
 	}
 	for c := range f.comps {
-		if _, links, err := part.ComponentMatrix(c); err != nil {
+		sub, links, err := part.ComponentMatrix(c)
+		if err != nil {
 			return nil, fmt.Errorf("cluster: component %d: %w", c, err)
-		} else {
-			comp := part.Component(c)
-			docs := make([]PathDoc, len(comp.Paths))
-			for i, pg := range comp.Paths {
-				p := rm.Path(pg)
-				docs[i] = PathDoc{Beacon: p.Beacon, Dst: p.Dst, Links: p.Links}
-			}
-			f.comps[c] = fleetComponent{paths: comp.Paths, docs: docs}
-			f.links[c] = links
 		}
+		if c == 0 {
+			// Nodes build every component with these options: refuse here
+			// what lia refuses there, instead of retrying the assignment.
+			if _, err := lia.NewEngine(sub, opts...); err != nil {
+				return nil, fmt.Errorf("cluster: %w", err)
+			}
+		}
+		comp := part.Component(c)
+		docs := make([]PathDoc, len(comp.Paths))
+		for i, pg := range comp.Paths {
+			p := rm.Path(pg)
+			docs[i] = PathDoc{Beacon: p.Beacon, Dst: p.Dst, Links: p.Links}
+		}
+		f.comps[c] = fleetComponent{paths: comp.Paths, docs: docs}
+		f.links[c] = links
 	}
 	f.ctx, f.cancel = context.WithCancel(context.Background())
 	return f, nil

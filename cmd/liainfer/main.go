@@ -82,17 +82,10 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		asJSON   = fs.Bool("json", false, "emit JSON instead of text")
 		strategy = fs.String("strategy", "paper", "phase-2 elimination: paper or greedy")
 		tl       = fs.Float64("tl", lia.DefaultThreshold, "congestion threshold (explicit 0 flags any inferred loss)")
-		workers  = fs.Int("workers", 0, "phase-1/phase-2 goroutines (0 = GOMAXPROCS, 1 = serial)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	tlSet := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "tl" {
-			tlSet = true
-		}
-	})
 
 	var input Input
 	switch {
@@ -142,16 +135,13 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	opts := []lia.Option{lia.WithWorkers(*workers)}
+	opts := []lia.Option{lia.WithThreshold(*tl)}
 	switch *strategy {
 	case "paper":
 	case "greedy":
 		opts = append(opts, lia.WithStrategy(lia.StrategyGreedyBasis))
 	default:
 		return fmt.Errorf("unknown -strategy %q", *strategy)
-	}
-	if tlSet {
-		opts = append(opts, lia.WithThreshold(*tl))
 	}
 	eng, err := lia.NewEngine(rm, opts...)
 	if err != nil {

@@ -138,7 +138,6 @@ func run(args []string) error {
 
 		window   = fs.Int("window", 0, "sliding moment window in snapshots (0 = cumulative)")
 		decay    = fs.Float64("decay", 0, "exponential moment decay factor in (0,1] (0 = cumulative)")
-		workers  = fs.Int("workers", 0, "phase-1/phase-2 goroutines (0 = GOMAXPROCS)")
 		shards   = fs.Int("shards", 0, "topology shards rebuilding concurrently: 0 auto-shards disconnected topologies to GOMAXPROCS, 1 forces a single engine, k caps at k")
 		strategy = fs.String("strategy", "paper", "phase-2 elimination: paper or greedy")
 		tl       = fs.Float64("tl", lia.DefaultThreshold, "congestion threshold")
@@ -200,11 +199,7 @@ func run(args []string) error {
 	if *coordinator > 0 && len(topos) != 1 {
 		return errors.New("-coordinator requires exactly one -topo")
 	}
-	tlSet := false
-	fs.Visit(func(f *flag.Flag) { tlSet = tlSet || f.Name == "tl" })
-
-	var opts []lia.Option
-	opts = append(opts, lia.WithWorkers(*workers), lia.WithShards(*shards))
+	opts := []lia.Option{lia.WithShards(*shards), lia.WithThreshold(*tl)}
 	switch *strategy {
 	case "paper":
 	case "greedy":
@@ -212,14 +207,11 @@ func run(args []string) error {
 	default:
 		return fmt.Errorf("unknown -strategy %q", *strategy)
 	}
-	if *window > 0 {
+	if *window != 0 {
 		opts = append(opts, lia.WithWindow(*window))
 	}
-	if *decay > 0 {
+	if *decay != 0 {
 		opts = append(opts, lia.WithDecay(*decay))
-	}
-	if tlSet {
-		opts = append(opts, lia.WithThreshold(*tl))
 	}
 
 	srv := serve.New(serve.Config{
@@ -255,10 +247,9 @@ func run(args []string) error {
 				Options: cluster.EngineOptions{
 					Strategy:     *strategy,
 					Threshold:    *tl,
-					ThresholdSet: tlSet,
+					ThresholdSet: true,
 					Window:       *window,
 					Decay:        *decay,
-					Workers:      *workers,
 				},
 				Logf: log.Printf,
 			})

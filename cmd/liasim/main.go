@@ -35,8 +35,6 @@ func main() {
 		good     = flag.String("good", "near-zero", "good-link rate shape: near-zero or uniform")
 		fidelity = flag.String("fidelity", "exact", "snapshot fidelity: exact, packet-shared, packet-per-path")
 		strategy = flag.String("strategy", "paper", "phase-2 elimination: paper or greedy")
-		variant  = flag.String("variance", "auto", "phase-1 solver: auto, dense, normal")
-		workers  = flag.Int("workers", 0, "phase-1 accumulation goroutines (0 = GOMAXPROCS, 1 = serial)")
 	)
 	flag.Parse()
 
@@ -90,18 +88,6 @@ func main() {
 	default:
 		fatalf("unknown -strategy %q", *strategy)
 	}
-	switch strings.ToLower(*variant) {
-	case "auto":
-		cfg.Variance.Method = lia.VarianceAuto
-	case "dense":
-		cfg.Variance.Method = lia.VarianceDenseQR
-	case "normal":
-		cfg.Variance.Method = lia.VarianceNormalEquations
-	default:
-		fatalf("unknown -variance %q", *variant)
-	}
-	cfg.Variance.Workers = *workers
-
 	names := []string{strings.ToLower(*exp)}
 	if names[0] == "all" {
 		names = []string{"fig3", "fig5", "fig6", "fig7", "fig8a", "fig8b", "table2", "fig9", "table3", "durations", "runtimes"}

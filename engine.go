@@ -25,12 +25,12 @@ import (
 // lock around the streaming moment fold, never on a solve: the rebuild
 // snapshots the frozen covariance view under the lock and solves on that.
 //
-// Rebuilds are incremental: under the default clamp (and the keep)
-// negative-covariance policy the Gram matrix of the Phase-1 normal
-// equations depends only on the topology, so its Cholesky factorization is
-// computed once and every later rebuild pays only the right-hand-side fold
-// plus two triangular solves — with results bit-identical to a from-scratch
-// solve (see core.Phase1).
+// Rebuilds are incremental: when the topology is large enough for the
+// Phase-1 normal equations, under the default clamp negative-covariance
+// policy their Gram matrix depends only on the topology, so its Cholesky
+// factorization is computed once and every later rebuild pays only the
+// right-hand-side fold plus two triangular solves — with results
+// bit-identical to a from-scratch solve (see core.Phase1).
 //
 // By default the moments are cumulative over all ingested history; the
 // WithWindow and WithDecay options switch to sliding-window or
@@ -101,10 +101,7 @@ func NewEngine(rm *RoutingMatrix, options ...Option) (*Engine, error) {
 	if rm == nil {
 		return nil, errors.New("lia: nil routing matrix")
 	}
-	var s settings
-	for _, o := range options {
-		o(&s)
-	}
+	s := newSettings(options)
 	acc, err := s.newAccumulator(rm.NumPaths())
 	if err != nil {
 		return nil, err
@@ -127,9 +124,9 @@ func (e *Engine) RoutingMatrix() *RoutingMatrix { return e.rm }
 // worth of these; the count still advances per ingest.
 func (e *Engine) Snapshots() int { return int(e.epoch.Load()) }
 
-// Threshold returns the effective congestion threshold tl: the value given
-// to WithThreshold (honored verbatim, including 0), or DefaultThreshold.
-func (e *Engine) Threshold() float64 { return e.opts.EffectiveThreshold() }
+// Threshold returns the congestion threshold tl: the value given to
+// WithThreshold (honored verbatim, including 0), or DefaultThreshold.
+func (e *Engine) Threshold() float64 { return e.opts.Threshold }
 
 // Ingest folds one learning snapshot of per-path observations into the
 // second-order moments (§5.1, eq. 7). Safe for concurrent use with other
@@ -242,8 +239,8 @@ func consumeSource(ctx context.Context, src SnapshotSource, rm *RoutingMatrix, i
 // recomputing it if learning data arrived since the last rebuild. Callers
 // racing a rebuild single-flight behind one solver. The recompute snapshots
 // only the frozen covariance view the right-hand-side fold needs (not the
-// whole accumulator) and reuses the cached Gram factorization whenever the
-// options allow.
+// whole accumulator) and reuses the cached Gram factorization whenever
+// core.Phase1 is cacheable.
 //
 // A failed (or panicking) rebuild does not fail the query when a
 // previously built state exists: the engine flags itself degraded, records

@@ -3,6 +3,7 @@ package lia_test
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 
 	"lia"
@@ -148,15 +149,18 @@ func TestThresholdZeroClassifies(t *testing.T) {
 }
 
 func TestEngineWorkerCountsAgree(t *testing.T) {
-	// The Workers option must never change a bit of the answer.
+	// The pool sizes come from GOMAXPROCS, which must never change a bit of
+	// the answer. 100 paths give 5050 pairs: enough for a parallel fold.
 	ctx := context.Background()
-	rm, err := lia.NewTopology(apiTreePaths(3, 3))
+	rm, err := lia.NewTopology(apiTreePaths(2, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	var ref *lia.Result
-	for _, workers := range []int{1, 2, 7} {
-		eng, err := lia.NewEngine(rm, lia.WithWorkers(workers))
+	for _, procs := range []int{1, 2, 7} {
+		runtime.GOMAXPROCS(procs)
+		eng, err := lia.NewEngine(rm)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +182,7 @@ func TestEngineWorkerCountsAgree(t *testing.T) {
 		}
 		for k := range ref.LossRates {
 			if ref.LossRates[k] != res.LossRates[k] || ref.Variances[k] != res.Variances[k] {
-				t.Fatalf("workers=%d diverges from workers=1 at link %d", workers, k)
+				t.Fatalf("GOMAXPROCS=%d diverges from GOMAXPROCS=1 at link %d", procs, k)
 			}
 		}
 	}

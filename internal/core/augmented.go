@@ -41,10 +41,12 @@ func VisitPairsRange(rm *topology.RoutingMatrix, from, to int, visit PairVisitor
 }
 
 // Gram accumulates the normal equations AᵀA·v = AᵀΣ* without materializing
-// A: each equation contributes its support outer-product to G = AᵀA and its
-// measured covariance to the right-hand side. This is what lets the variance
-// estimator scale to large path sets (the paper reports solving networks
-// with thousands of nodes in seconds).
+// A, one equation at a time: each equation contributes its support
+// outer-product to G = AᵀA and its measured covariance to the right-hand
+// side. Phase 1 builds the same G with the sharded, row-banded fold of
+// accumulateGramInto; this sequential form times the A build of the
+// running-times experiment (the paper reports solving networks with
+// thousands of nodes in seconds).
 type Gram struct {
 	g   *linalg.Dense
 	rhs []float64
@@ -65,17 +67,6 @@ func (gr *Gram) AddEquation(support []int32, sigma float64) {
 			rowk[l]++
 		}
 	}
-}
-
-// Solve solves the normal equations for v by Cholesky factorization,
-// falling back to a minimally regularized factorization when sampling noise
-// or dropped equations leave G semi-definite.
-func (gr *Gram) Solve() ([]float64, error) {
-	ch, _, err := linalg.NewCholeskyRegularized(gr.g)
-	if err != nil {
-		return nil, err
-	}
-	return ch.Solve(gr.rhs), nil
 }
 
 // AugmentedRank returns rank(A), the exact rank of the augmented matrix:

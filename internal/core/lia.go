@@ -25,32 +25,17 @@ const (
 	ObserveLinear
 )
 
-// Options configures one LIA pipeline: the Phase-1 solver, the Phase-2
-// elimination strategy, the observation semantics and the congestion
-// threshold.
+// Options configures one LIA pipeline: the Phase-1 negative-covariance
+// policy, the Phase-2 elimination strategy, the observation semantics and
+// the congestion threshold.
 type Options struct {
 	Variance VarianceOptions
 	Strategy Elimination
 	// Observation selects the snapshot semantics (default log transmission).
 	Observation Observation
-	// Threshold tl used by Result.Congested. When ThresholdSet is false,
-	// values ≤ 0 fall back to CongestionThreshold; with ThresholdSet the
-	// value is honored verbatim, so an explicit tl = 0 (flag every link with
-	// any inferred loss) is expressible.
-	Threshold    float64
-	ThresholdSet bool
-}
-
-// EffectiveThreshold resolves the congestion threshold tl these options
-// select, applying the default only when no threshold was set explicitly.
-func (o Options) EffectiveThreshold() float64 {
-	if o.ThresholdSet {
-		return o.Threshold
-	}
-	if o.Threshold <= 0 {
-		return CongestionThreshold
-	}
-	return o.Threshold
+	// Threshold tl used by Result.Congested, honored verbatim: an explicit
+	// tl = 0 flags every link with any inferred loss.
+	Threshold float64
 }
 
 // Result is the output of one Phase-2 inference.

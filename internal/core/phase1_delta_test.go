@@ -44,28 +44,26 @@ func tailVec(rng *rand.Rand, np, tail int, quiet bool) []float64 {
 // TestPhase1DeltaFoldBitwiseWindowed: a windowed accumulator at capacity
 // (every add evicts a snapshot) over a topology where two thirds of the
 // paths are quiet. Every warm Estimate against the cached factor must stay
-// bitwise-identical to the from-scratch EstimateVariances, across worker
-// counts.
+// bitwise-identical to a one-shot solve, across worker counts.
 func TestPhase1DeltaFoldBitwiseWindowed(t *testing.T) {
 	rm := deltaTopology(t, 21)
 	np := rm.NumPaths()
 	tail := 2 * np / 3
 	const window = 24
-	for _, workers := range []int{0, 1, 3} {
-		rng := rand.New(rand.NewPCG(99, uint64(workers)))
+	for i, workers := range []int{shardWorkers(rm.NumPairs()), 1, 3} {
+		rng := rand.New(rand.NewPCG(99, uint64(i)))
 		acc := stats.NewWindowedCovAccumulator(np, window)
 		for i := 0; i < window; i++ {
 			acc.Add(tailVec(rng, np, tail, true))
 		}
-		opts := VarianceOptions{Method: VarianceNormalEquations, Workers: workers}
-		p1 := NewPhase1(rm, opts)
+		p1 := pinnedPhase1(rm, VarianceOptions{}, false)
 		for epoch := 0; epoch < 4; epoch++ {
 			view := acc.View()
-			want, err := EstimateVariances(rm, view, opts)
+			want, err := pinnedPhase1(rm, VarianceOptions{}, false).estimate(view, workers)
 			if err != nil {
-				t.Fatalf("w%d epoch %d: EstimateVariances: %v", workers, epoch, err)
+				t.Fatalf("w%d epoch %d: one-shot: %v", workers, epoch, err)
 			}
-			got, err := p1.Estimate(view)
+			got, err := p1.estimate(view, workers)
 			if err != nil {
 				t.Fatalf("w%d epoch %d: Phase1: %v", workers, epoch, err)
 			}
@@ -91,11 +89,10 @@ func TestPhase1DeltaDecayDegradesToFullFold(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		acc.Add(tailVec(rng, np, 2*np/3, true))
 	}
-	opts := VarianceOptions{Method: VarianceNormalEquations}
-	p1 := NewPhase1(rm, opts)
+	p1 := pinnedPhase1(rm, VarianceOptions{}, false)
 	for epoch := 0; epoch < 3; epoch++ {
 		view := acc.View()
-		want, err := EstimateVariances(rm, view, opts)
+		want, err := pinnedPhase1(rm, VarianceOptions{}, false).Estimate(view)
 		if err != nil {
 			t.Fatal(err)
 		}

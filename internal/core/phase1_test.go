@@ -51,35 +51,35 @@ func phase1Workload(t *testing.T, seed uint64) (*topology.RoutingMatrix, *stats.
 	return rm, acc, more
 }
 
-// TestPhase1MatchesEstimateVariances asserts the cached-factorization solver
-// is bitwise identical to the from-scratch EstimateVariances across every
-// negative-covariance policy, both solver methods, and several worker
-// counts — on both the cold (first) and warm (cached-factor) calls.
+// TestPhase1MatchesEstimateVariances asserts a reused Phase1 is bitwise
+// identical to a one-shot solve across every negative-covariance policy,
+// both solvers, and several worker counts — on both the cold (first) and
+// warm (cached-factor) calls.
 func TestPhase1MatchesEstimateVariances(t *testing.T) {
 	rm, acc, more := phase1Workload(t, 13)
-	for _, method := range []VarianceMethod{VarianceNormalEquations, VarianceDenseQR} {
-		for _, pol := range []NegativeCovPolicy{ClampNegativeCov, DropNegativeCov, KeepNegativeCov} {
-			for _, workers := range []int{0, 1, 3, 8} {
-				opts := VarianceOptions{Method: method, NegPolicy: pol, Workers: workers}
-				p1 := NewPhase1(rm, opts)
+	for _, sv := range solvers {
+		for _, pol := range []NegativeCovPolicy{ClampNegativeCov, DropNegativeCov} {
+			for _, workers := range []int{shardWorkers(rm.NumPairs()), 1, 3, 8} {
+				opts := VarianceOptions{NegPolicy: pol}
+				p1 := pinnedPhase1(rm, opts, sv.dense)
 				for pass, cov := range []*stats.CovAccumulator{acc, more} {
-					want, err := EstimateVariances(rm, cov, opts)
+					want, err := pinnedPhase1(rm, opts, sv.dense).estimate(cov, workers)
 					if err != nil {
-						t.Fatalf("%v/%v/w%d pass %d: EstimateVariances: %v", method, pol, workers, pass, err)
+						t.Fatalf("%s/%v/w%d pass %d: one-shot: %v", sv.name, pol, workers, pass, err)
 					}
-					got, err := p1.Estimate(cov)
+					got, err := p1.estimate(cov, workers)
 					if err != nil {
-						t.Fatalf("%v/%v/w%d pass %d: Phase1: %v", method, pol, workers, pass, err)
+						t.Fatalf("%s/%v/w%d pass %d: Phase1: %v", sv.name, pol, workers, pass, err)
 					}
 					for k := range want {
 						if got[k] != want[k] {
-							t.Fatalf("%v/%v/w%d pass %d link %d: cached %g != from-scratch %g (not bitwise identical)",
-								method, pol, workers, pass, k, got[k], want[k])
+							t.Fatalf("%s/%v/w%d pass %d link %d: cached %g != from-scratch %g (not bitwise identical)",
+								sv.name, pol, workers, pass, k, got[k], want[k])
 						}
 					}
 				}
-				if wantWarm := pol != DropNegativeCov && method == VarianceNormalEquations; p1.Warm() != wantWarm {
-					t.Fatalf("%v/%v/w%d: Warm() = %v, want %v", method, pol, workers, p1.Warm(), wantWarm)
+				if wantWarm := pol != DropNegativeCov && !sv.dense; p1.Warm() != wantWarm {
+					t.Fatalf("%s/%v/w%d: Warm() = %v, want %v", sv.name, pol, workers, p1.Warm(), wantWarm)
 				}
 			}
 		}
@@ -91,8 +91,7 @@ func TestPhase1MatchesEstimateVariances(t *testing.T) {
 // against the live accumulator, bit for bit.
 func TestPhase1ViewMatchesAccumulator(t *testing.T) {
 	rm, acc, _ := phase1Workload(t, 29)
-	opts := VarianceOptions{Method: VarianceNormalEquations}
-	p1 := NewPhase1(rm, opts)
+	p1 := pinnedPhase1(rm, VarianceOptions{}, false)
 	live, err := p1.Estimate(acc)
 	if err != nil {
 		t.Fatal(err)

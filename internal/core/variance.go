@@ -11,33 +11,6 @@ import (
 	"lia/internal/topology"
 )
 
-// VarianceMethod selects how the moment system Σ* = A·v is solved.
-type VarianceMethod int
-
-const (
-	// VarianceAuto picks DenseQR for small systems and NormalEquations once
-	// the explicit A would be large.
-	VarianceAuto VarianceMethod = iota
-	// VarianceDenseQR materializes A (non-zero rows only) and solves the
-	// least-squares problem with a Householder QR — the paper's reference
-	// method.
-	VarianceDenseQR
-	// VarianceNormalEquations streams the equations into AᵀA and AᵀΣ* and
-	// solves by Cholesky; never materializes A.
-	VarianceNormalEquations
-)
-
-func (m VarianceMethod) String() string {
-	switch m {
-	case VarianceDenseQR:
-		return "dense-qr"
-	case VarianceNormalEquations:
-		return "normal-equations"
-	default:
-		return "auto"
-	}
-}
-
 // NegativeCovPolicy chooses what to do with covariance equations whose
 // measured value Σ̂ii′ is negative — a pure sampling artifact under the link
 // independence assumption S.2, since true path covariances are sums of link
@@ -57,40 +30,20 @@ const (
 	// redundant equations, but can lose identifiability on sparse pair sets;
 	// the estimator then falls back to a minimum-norm solution.
 	DropNegativeCov
-	// KeepNegativeCov uses the raw negative value.
-	KeepNegativeCov
 )
 
 func (p NegativeCovPolicy) String() string {
-	switch p {
-	case DropNegativeCov:
+	if p == DropNegativeCov {
 		return "drop"
-	case KeepNegativeCov:
-		return "keep"
-	default:
-		return "clamp"
 	}
+	return "clamp"
 }
 
 // VarianceOptions tunes Phase 1.
 type VarianceOptions struct {
-	Method VarianceMethod
 	// NegPolicy selects the treatment of negative measured covariances
 	// (default ClampNegativeCov).
 	NegPolicy NegativeCovPolicy
-	// Workers bounds the goroutines used by the sharded Phase-1 accumulation
-	// over the O(np²) equation stream. 0 sizes the pool to GOMAXPROCS (with
-	// an inline fallback below a work threshold); values ≤ 1 walk the shards
-	// inline without goroutines; any value > 1 engages the pool regardless
-	// of the threshold, though the pool is always capped at the shard count
-	// (a single-shard system runs inline no matter what). Every setting
-	// produces bit-identical results — the shard structure, not the worker
-	// count, fixes the reduction order. One exception to the serial
-	// contract: the first Phase-1 pass on a routing matrix triggers the
-	// lazy pair-support index build in topology, which always fans out over
-	// GOMAXPROCS (its layout, and thus every result, is
-	// schedule-independent).
-	Workers int
 }
 
 // adjust applies the negative-covariance policy to one measured covariance,
@@ -99,36 +52,13 @@ func (o VarianceOptions) adjust(sigma float64) (float64, bool) {
 	if sigma >= 0 {
 		return sigma, true
 	}
-	switch o.NegPolicy {
-	case DropNegativeCov:
-		return 0, false
-	case KeepNegativeCov:
-		return sigma, true
-	default:
-		return 0, true
-	}
+	return 0, o.NegPolicy != DropNegativeCov
 }
 
-// denseBudget caps the approximate flop count (rows × nc²) the dense QR
-// path may incur before Auto switches to normal equations (≈ a few hundred
-// ms).
+// denseBudget caps the approximate flop count (rows × nc²) up to which
+// Phase 1 solves by dense QR; larger systems use the normal equations
+// (≈ a few hundred ms).
 const denseBudget = 200_000_000
-
-// resolveMethod turns VarianceAuto into a concrete solver choice for the
-// given routing matrix. The decision depends only on the topology (and the
-// dense budget), never on the measured data — which is what lets
-// Phase1 decide cacheability once per routing matrix.
-func (o VarianceOptions) resolveMethod(rm *topology.RoutingMatrix) VarianceMethod {
-	if o.Method != VarianceAuto {
-		return o.Method
-	}
-	np, nc := rm.NumPaths(), rm.NumLinks()
-	rows := np * (np + 1) / 2
-	if rows*nc*nc <= denseBudget {
-		return VarianceDenseQR
-	}
-	return VarianceNormalEquations
-}
 
 // EstimateVariances solves Σ* = A·v for the per-link variances from the
 // accumulated path covariance moments (any stats.CovView — a live
@@ -137,28 +67,11 @@ func (o VarianceOptions) resolveMethod(rm *topology.RoutingMatrix) VarianceMetho
 // slightly negative under sampling noise; callers that need true variances
 // should clamp at zero, while the Phase-2 ordering uses the raw values.
 //
-// Long-running callers that rebuild repeatedly over the same routing matrix
-// should use Phase1, which caches the topology-only Gram factorization this
-// function recomputes from scratch on every call.
+// It is a one-shot Phase1: long-running callers that rebuild repeatedly
+// over the same routing matrix should keep a Phase1, which caches the
+// topology-only Gram factorization this function recomputes on every call.
 func EstimateVariances(rm *topology.RoutingMatrix, cov stats.CovView, opts VarianceOptions) ([]float64, error) {
-	if cov.Count() < 2 {
-		return nil, ErrTooFewSnapshots
-	}
-	if cov.Dim() != rm.NumPaths() {
-		return nil, fmt.Errorf("core: covariance over %d paths, routing matrix has %d: %w",
-			cov.Dim(), rm.NumPaths(), ErrDimensionMismatch)
-	}
-	// Surface a pair-index capacity failure as an error before any
-	// estimator walks the index (whose accessors panic instead).
-	if err := rm.PrecomputePairSupports(); err != nil {
-		return nil, fmt.Errorf("core: phase-1 equations: %w", err)
-	}
-	switch opts.resolveMethod(rm) {
-	case VarianceDenseQR:
-		return estimateDense(rm, cov, opts)
-	default:
-		return estimateNormal(rm, cov, opts)
-	}
+	return NewPhase1(rm, opts).Estimate(cov)
 }
 
 // pairsPerShard fixes the shard granularity of the parallel Phase-1 passes.
@@ -167,8 +80,8 @@ func EstimateVariances(rm *topology.RoutingMatrix, cov stats.CovView, opts Varia
 // bit-identical across GOMAXPROCS settings and repeated runs.
 const pairsPerShard = 1024
 
-// minParallelPairs is the work threshold below which auto-sized runs
-// (Workers == 0) stay serial: goroutine startup dominates tiny systems.
+// minParallelPairs is the work threshold below which Phase 1 stays serial:
+// goroutine startup dominates tiny systems.
 const minParallelPairs = 4 * pairsPerShard
 
 // rhsWindowShards is how many shards stage their right-hand sides at once
@@ -177,29 +90,25 @@ const minParallelPairs = 4 * pairsPerShard
 // plenty of shards in flight for any sensible worker count.
 const rhsWindowShards = 64
 
-// shardWorkers decides the pool size for a stream of npairs equations:
-// 1 means "run the shard loop inline, no goroutines". The shard structure —
-// and therefore the result — is the same either way; the pool only changes
-// who walks the shards.
-func (o VarianceOptions) shardWorkers(npairs int) int {
-	w := o.Workers
-	if w != 0 {
-		if w < 1 {
-			w = 1 // explicit serial request (negative values included)
-		}
-	} else if w = runtime.GOMAXPROCS(0); npairs < minParallelPairs {
-		w = 1
+// shardWorkers sizes the pool for a stream of npairs equations: GOMAXPROCS,
+// capped at the shard count, and 1 ("run the shard loop inline, no
+// goroutines") below minParallelPairs. The shard structure — and therefore
+// the result — is the same for every pool size; the pool only changes who
+// walks the shards. The one schedule-dependent step, the lazy pair-support
+// index build in topology, produces a schedule-independent layout.
+func shardWorkers(npairs int) int {
+	if npairs < minParallelPairs {
+		return 1
 	}
-	shards := (npairs + pairsPerShard - 1) / pairsPerShard
-	if w > shards && shards > 0 {
-		w = shards
-	}
-	return w
+	return min(runtime.GOMAXPROCS(0), (npairs+pairsPerShard-1)/pairsPerShard)
 }
 
-func estimateDense(rm *topology.RoutingMatrix, cov stats.CovView, opts VarianceOptions) ([]float64, error) {
+// estimateDense solves the Phase-1 system by materializing the usable
+// augmented rows and factoring them with a Householder QR — the paper's
+// reference method, used for systems within denseBudget.
+func estimateDense(rm *topology.RoutingMatrix, cov stats.CovView, opts VarianceOptions, workers int) ([]float64, error) {
 	nc := rm.NumLinks()
-	rows, rhs := collectEquations(rm, cov, opts)
+	rows, rhs := collectEquations(rm, cov, opts, workers)
 	if len(rows) < nc {
 		return nil, fmt.Errorf("core: only %d usable covariance equations for %d links: %w",
 			len(rows), nc, ErrUnidentifiable)
@@ -230,15 +139,14 @@ func estimateDense(rm *topology.RoutingMatrix, cov stats.CovView, opts VarianceO
 
 // collectEquations materializes the usable augmented rows (support views into
 // the cached pair index) and their adjusted right-hand sides, in canonical
-// pair order. Above the work threshold the collection fans out over pair
-// shards; shard results are concatenated in shard order, so the row order is
-// identical to the serial walk.
-func collectEquations(rm *topology.RoutingMatrix, cov stats.CovView, opts VarianceOptions) ([][]int32, []float64) {
+// pair order. The collection fans out over pair shards on up to workers
+// goroutines; shard results are concatenated in shard order, so the row
+// order is identical to the serial walk.
+func collectEquations(rm *topology.RoutingMatrix, cov stats.CovView, opts VarianceOptions, workers int) ([][]int32, []float64) {
 	npairs := rm.NumPairs()
 	if npairs == 0 {
 		return nil, nil
 	}
-	workers := opts.shardWorkers(npairs)
 	shards := (npairs + pairsPerShard - 1) / pairsPerShard
 	shardRows := make([][][]int32, shards)
 	shardRHS := make([][]float64, shards)
@@ -274,45 +182,6 @@ func collectEquations(rm *topology.RoutingMatrix, cov stats.CovView, opts Varian
 	return rows, rhs
 }
 
-func estimateNormal(rm *topology.RoutingMatrix, cov stats.CovView, opts VarianceOptions) ([]float64, error) {
-	v, err := accumulateGram(rm, cov, opts).Solve()
-	if err != nil {
-		return nil, fmt.Errorf("core: normal-equations variance solve: %w: %w", ErrUnidentifiable, err)
-	}
-	return v, nil
-}
-
-// accumulateGram assembles the normal-equations system AᵀA·v = AᵀΣ* in two
-// passes over the cached pair index:
-//
-//   - the order-sensitive right-hand side via the shard-windowed fold of
-//     accumulateRHSInto — bit-deterministic because shard boundaries
-//     depend only on the pair count;
-//   - the Gram matrix G = AᵀA via the row-banded shared-matrix reduction of
-//     accumulateGramInto — one nc×nc matrix total instead of one private
-//     copy per worker, and exact regardless of scheduling because G's
-//     entries are small integer counts.
-func accumulateGram(rm *topology.RoutingMatrix, cov stats.CovView, opts VarianceOptions) *Gram {
-	nc := rm.NumLinks()
-	gr := NewGram(nc)
-	npairs := rm.NumPairs()
-	if npairs == 0 {
-		return gr
-	}
-	workers := opts.shardWorkers(npairs)
-	// Under DropNegativeCov the kept-equation set depends on the data; the
-	// RHS pass decides it once into a bitmap so the row-banded Gram workers
-	// need not re-evaluate the covariances. Under clamp/keep every equation
-	// is kept and no bitmap is needed.
-	var kept []bool
-	if opts.NegPolicy == DropNegativeCov {
-		kept = make([]bool, npairs)
-	}
-	accumulateRHSInto(gr.rhs, rm, cov, opts, workers, kept)
-	accumulateGramInto(gr.g, rm, kept, workers)
-	return gr
-}
-
 // accumulateRHSInto folds the adjusted right-hand sides AᵀΣ* of every kept
 // equation into dst (length nc, assumed zeroed). The pair stream is cut into fixed-size shards processed in
 // fixed-size windows: workers fan out within a window, then the window's
@@ -327,8 +196,8 @@ func accumulateGram(rm *topology.RoutingMatrix, cov stats.CovView, opts Variance
 //
 // When kept is non-nil (length npairs) the fold additionally records which
 // packed pair indices survived the negative-covariance policy — shards own
-// disjoint ranges, so the concurrent writes are race-free. The cold build
-// hands this bitmap to the Gram pass under DropNegativeCov.
+// disjoint ranges, so the concurrent writes are race-free. Under
+// DropNegativeCov, Phase1 hands this bitmap to the Gram pass.
 func accumulateRHSInto(dst []float64, rm *topology.RoutingMatrix, cov stats.CovView, opts VarianceOptions, workers int, kept []bool) {
 	nc := rm.NumLinks()
 	npairs := rm.NumPairs()
@@ -399,9 +268,8 @@ func accumulateRHSShard(rhs []float64, rm *topology.RoutingMatrix, cov stats.Cov
 // kept, when non-nil, is the packed-pair bitmap of equations that survived
 // the negative-covariance policy, as recorded by accumulateRHSInto —
 // DropNegativeCov is the one policy whose kept set depends on the data. A
-// nil kept means every equation survives (clamp/keep), making G a pure
-// function of the topology — which is what Phase1's cached cold build
-// relies on.
+// nil kept means every equation survives (clamp), making G a pure function
+// of the topology — which is what Phase1's cached factor relies on.
 func accumulateGramInto(g *linalg.Dense, rm *topology.RoutingMatrix, kept []bool, workers int) {
 	npairs := rm.NumPairs()
 	if npairs == 0 {

@@ -34,9 +34,23 @@ func syntheticSnapshots(rng *rand.Rand, rm *topology.RoutingMatrix, vars []float
 	return acc
 }
 
-func testVarianceRecovery(t *testing.T, method VarianceMethod) {
+// solvers names the two Phase-1 paths, for tests that pin one of them.
+var solvers = []struct {
+	name  string
+	dense bool
+}{{"dense-qr", true}, {"normal-equations", false}}
+
+// pinnedPhase1 returns a Phase1 that solves by dense QR (dense) or by the
+// normal equations, whatever the size rule would pick.
+func pinnedPhase1(rm *topology.RoutingMatrix, opts VarianceOptions, dense bool) *Phase1 {
+	p := NewPhase1(rm, opts)
+	p.dense = dense
+	return p
+}
+
+func testVarianceRecovery(t *testing.T, dense bool, seed uint64) {
 	t.Helper()
-	rng := rand.New(rand.NewPCG(9, uint64(method)))
+	rng := rand.New(rand.NewPCG(9, seed))
 	net := topogen.Tree(rng, 80, 5)
 	paths := topogen.Routes(net, []int{0}, net.Hosts)
 	rm, err := topology.Build(paths)
@@ -52,7 +66,7 @@ func testVarianceRecovery(t *testing.T, method VarianceMethod) {
 		}
 	}
 	acc := syntheticSnapshots(rng, rm, truth, 4000)
-	got, err := EstimateVariances(rm, acc, VarianceOptions{Method: method})
+	got, err := pinnedPhase1(rm, VarianceOptions{}, dense).Estimate(acc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,8 +78,8 @@ func testVarianceRecovery(t *testing.T, method VarianceMethod) {
 	}
 }
 
-func TestVarianceRecoveryDenseQR(t *testing.T)    { testVarianceRecovery(t, VarianceDenseQR) }
-func TestVarianceRecoveryNormalEqns(t *testing.T) { testVarianceRecovery(t, VarianceNormalEquations) }
+func TestVarianceRecoveryDenseQR(t *testing.T)    { testVarianceRecovery(t, true, 1) }
+func TestVarianceRecoveryNormalEqns(t *testing.T) { testVarianceRecovery(t, false, 2) }
 
 func TestVarianceMethodsAgree(t *testing.T) {
 	// Both solvers minimize the same least-squares objective, so on the same
@@ -75,15 +89,12 @@ func TestVarianceMethodsAgree(t *testing.T) {
 	truth := []float64{0.02, 0.001, 0.005, 0, 0.01, 0.0002, 0.003, 0}
 	truth = truth[:rm.NumLinks()]
 	acc := syntheticSnapshots(rng, rm, truth, 500)
-	// Keep negative-covariance equations so both paths see identical systems.
-	opts := VarianceOptions{NegPolicy: KeepNegativeCov}
-	opts.Method = VarianceDenseQR
-	a, err := EstimateVariances(rm, acc, opts)
+	// The clamp policy keeps every equation, so both paths see the same system.
+	a, err := pinnedPhase1(rm, VarianceOptions{}, true).Estimate(acc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Method = VarianceNormalEquations
-	b, err := EstimateVariances(rm, acc, opts)
+	b, err := pinnedPhase1(rm, VarianceOptions{}, false).Estimate(acc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,6 +102,51 @@ func TestVarianceMethodsAgree(t *testing.T) {
 		if math.Abs(a[k]-b[k]) > 1e-8 {
 			t.Fatalf("solvers disagree at link %d: %g vs %g", k, a[k], b[k])
 		}
+	}
+}
+
+// star builds n paths that share link 0 and each own one leaf link — the
+// star of the root package's TestEngineWarmRebuildMatchesCold at n = 150.
+func star(t *testing.T, n int) *topology.RoutingMatrix {
+	t.Helper()
+	paths := make([]topology.Path, n)
+	for i := range paths {
+		paths[i] = topology.Path{Beacon: 100, Dst: 101 + i, Links: []int{0, 1 + i}}
+	}
+	rm, err := topology.Build(paths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rm
+}
+
+// TestSizeRuleSelectsSolver: the topology alone picks the Phase-1 path — a
+// small system solves by dense QR, a star past the dense budget by the
+// cached normal equations.
+func TestSizeRuleSelectsSolver(t *testing.T) {
+	rng := rand.New(rand.NewPCG(12, 22))
+	for _, rm := range []*topology.RoutingMatrix{figure2(t), star(t, 140)} {
+		if p := NewPhase1(rm, VarianceOptions{}); !p.dense || p.Cacheable() {
+			t.Fatalf("%d-path topology: dense=%v cacheable=%v, want dense QR", rm.NumPaths(), p.dense, p.Cacheable())
+		}
+	}
+	large := star(t, 150) // 11 325 pairs × 151² links > denseBudget
+	p := NewPhase1(large, VarianceOptions{})
+	if p.dense || !p.Cacheable() {
+		t.Fatalf("150-path star: dense=%v cacheable=%v, want cached normal equations", p.dense, p.Cacheable())
+	}
+	truth := make([]float64, large.NumLinks())
+	for k := range truth {
+		truth[k] = 1e-4 * rng.Float64()
+	}
+	if _, err := p.Estimate(syntheticSnapshots(rng, large, truth, 20)); err != nil {
+		t.Fatal(err)
+	}
+	if !p.Warm() {
+		t.Fatal("150-path star: Estimate did not cache the factorization")
+	}
+	if drop := NewPhase1(large, VarianceOptions{NegPolicy: DropNegativeCov}); drop.Cacheable() {
+		t.Fatal("DropNegativeCov must not be cacheable: its row set depends on the data")
 	}
 }
 
@@ -144,8 +200,9 @@ func TestEstimateVariancesErrors(t *testing.T) {
 }
 
 // randomWorkload builds a randomized tree topology with mixed link variances
-// and enough synthetic snapshots for a stable Phase-1 system.
-func randomWorkload(t *testing.T, seed uint64, hosts int) (*topology.RoutingMatrix, *stats.CovAccumulator) {
+// (returned as truth) and enough synthetic snapshots for a stable Phase-1
+// system.
+func randomWorkload(t testing.TB, seed uint64, hosts int) (*topology.RoutingMatrix, []float64, *stats.CovAccumulator) {
 	t.Helper()
 	rng := rand.New(rand.NewPCG(seed, seed^0xABCD))
 	net := topogen.Tree(rng, hosts, 5)
@@ -162,29 +219,30 @@ func randomWorkload(t *testing.T, seed uint64, hosts int) (*topology.RoutingMatr
 			truth[k] = 1e-6 * rng.Float64()
 		}
 	}
-	return rm, syntheticSnapshots(rng, rm, truth, 200)
+	return rm, truth, syntheticSnapshots(rng, rm, truth, 200)
 }
 
 // TestParallelMatchesSerial asserts the sharded Phase-1 accumulation agrees
 // with the serial walk within 1e-10 on randomized topologies, for both
-// solver methods and every negative-covariance policy.
+// solvers and every negative-covariance policy.
 func TestParallelMatchesSerial(t *testing.T) {
 	for _, seed := range []uint64{3, 17, 99} {
-		rm, acc := randomWorkload(t, seed, 70)
-		for _, method := range []VarianceMethod{VarianceDenseQR, VarianceNormalEquations} {
-			for _, pol := range []NegativeCovPolicy{ClampNegativeCov, DropNegativeCov, KeepNegativeCov} {
-				serial, err := EstimateVariances(rm, acc, VarianceOptions{Method: method, NegPolicy: pol, Workers: 1})
+		rm, _, acc := randomWorkload(t, seed, 70)
+		for _, sv := range solvers {
+			for _, pol := range []NegativeCovPolicy{ClampNegativeCov, DropNegativeCov} {
+				p := pinnedPhase1(rm, VarianceOptions{NegPolicy: pol}, sv.dense)
+				serial, err := p.estimate(acc, 1)
 				if err != nil {
-					t.Fatalf("seed %d %v/%v serial: %v", seed, method, pol, err)
+					t.Fatalf("seed %d %s/%v serial: %v", seed, sv.name, pol, err)
 				}
-				par, err := EstimateVariances(rm, acc, VarianceOptions{Method: method, NegPolicy: pol, Workers: 8})
+				par, err := p.estimate(acc, 8)
 				if err != nil {
-					t.Fatalf("seed %d %v/%v parallel: %v", seed, method, pol, err)
+					t.Fatalf("seed %d %s/%v parallel: %v", seed, sv.name, pol, err)
 				}
 				for k := range serial {
 					if math.Abs(serial[k]-par[k]) > 1e-10 {
-						t.Fatalf("seed %d %v/%v link %d: serial %g, parallel %g",
-							seed, method, pol, k, serial[k], par[k])
+						t.Fatalf("seed %d %s/%v link %d: serial %g, parallel %g",
+							seed, sv.name, pol, k, serial[k], par[k])
 					}
 				}
 			}
@@ -194,16 +252,16 @@ func TestParallelMatchesSerial(t *testing.T) {
 
 // TestParallelDeterministic asserts the sharded accumulation returns
 // bit-identical results for any worker count — including the inline
-// single-worker walk — and across repeated runs: shard boundaries depend
-// only on the pair count, the Gram merge is exact integer arithmetic, and
-// the right-hand side reduces in fixed shard order.
+// single-worker walk and the GOMAXPROCS-sized pool — and across repeated
+// runs: shard boundaries depend only on the pair count, the Gram merge is
+// exact integer arithmetic, and the right-hand side reduces in fixed shard
+// order.
 func TestParallelDeterministic(t *testing.T) {
-	rm, acc := randomWorkload(t, 7, 60)
+	rm, _, acc := randomWorkload(t, 7, 60)
 	var want []float64
-	for _, workers := range []int{0, 1, 2, 3, 4, 8, 16} {
+	for _, workers := range []int{shardWorkers(rm.NumPairs()), 1, 2, 3, 4, 8, 16} {
 		for rep := 0; rep < 3; rep++ {
-			got, err := EstimateVariances(rm, acc,
-				VarianceOptions{Method: VarianceNormalEquations, Workers: workers})
+			got, err := pinnedPhase1(rm, VarianceOptions{}, false).estimate(acc, workers)
 			if err != nil {
 				t.Fatalf("workers=%d rep=%d: %v", workers, rep, err)
 			}
@@ -221,22 +279,22 @@ func TestParallelDeterministic(t *testing.T) {
 	}
 }
 
-// TestGramMergeMatchesSequential exercises the shard-merge API directly:
-// folding disjoint equation ranges into separate Grams and merging must
-// reproduce the single-accumulator system.
+// TestNegativeWorkersFallsBackToSerial: a non-positive pool size walks the
+// shards inline, exactly like one worker.
 func TestNegativeWorkersFallsBackToSerial(t *testing.T) {
-	rm, acc := randomWorkload(t, 31, 40)
-	serial, err := EstimateVariances(rm, acc, VarianceOptions{Method: VarianceNormalEquations, Workers: 1})
+	rm, _, acc := randomWorkload(t, 31, 40)
+	p := pinnedPhase1(rm, VarianceOptions{}, false)
+	serial, err := p.estimate(acc, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	neg, err := EstimateVariances(rm, acc, VarianceOptions{Method: VarianceNormalEquations, Workers: -3})
+	neg, err := p.estimate(acc, -3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for k := range serial {
 		if serial[k] != neg[k] {
-			t.Fatalf("link %d: Workers=-3 gave %g, serial %g", k, neg[k], serial[k])
+			t.Fatalf("link %d: workers=-3 gave %g, serial %g", k, neg[k], serial[k])
 		}
 	}
 }
@@ -269,12 +327,12 @@ func TestDenseRankDeficientFallback(t *testing.T) {
 		{0.2, 0.25, 0.7, -0.05},
 		{0.3, 0.15, -0.05, 0.6},
 	}
-	opts := VarianceOptions{Method: VarianceDenseQR, NegPolicy: DropNegativeCov}
-	got, err := EstimateVariances(rm, cov, opts)
+	opts := VarianceOptions{NegPolicy: DropNegativeCov}
+	got, err := EstimateVariances(rm, cov, opts) // the size rule picks dense QR
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, rhs := collectEquations(rm, cov, opts)
+	rows, rhs := collectEquations(rm, cov, opts, 1)
 	a := linalg.NewDense(len(rows), rm.NumLinks())
 	for r, support := range rows {
 		for _, k := range support {

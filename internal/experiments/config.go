@@ -30,7 +30,7 @@ type Config struct {
 	Good     lossmodel.GoodRateShape // good-link rate distribution
 	Fidelity Fidelity                // snapshot generation fidelity
 	Strategy core.Elimination        // Phase-2 elimination strategy
-	Variance core.VarianceOptions    // Phase-1 solver options
+	Variance core.VarianceOptions    // Phase-1 negative-covariance policy
 }
 
 // Fidelity selects how snapshots are generated (see netsim.Mode).

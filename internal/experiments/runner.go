@@ -60,13 +60,11 @@ func simulateSeriesWeighted(w *Workload, cfg Config, runSeed uint64, count int, 
 }
 
 // newEngine builds the LIA engine an experiment runs, with the elimination
-// strategy and Phase-1 solver options the configuration selects.
+// strategy and negative-covariance policy the configuration selects.
 func newEngine(rm *topology.RoutingMatrix, cfg Config) (*lia.Engine, error) {
 	return lia.NewEngine(rm,
 		lia.WithStrategy(cfg.Strategy),
-		lia.WithVarianceMethod(cfg.Variance.Method),
 		lia.WithNegCovPolicy(cfg.Variance.NegPolicy),
-		lia.WithWorkers(cfg.Variance.Workers),
 	)
 }
 

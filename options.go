@@ -34,21 +34,6 @@ const (
 	ObserveLinear Observation = core.ObserveLinear
 )
 
-// VarianceMethod selects how the Phase-1 moment system Σ* = A·v is solved.
-type VarianceMethod = core.VarianceMethod
-
-const (
-	// VarianceAuto (default) picks dense QR for small systems and normal
-	// equations once the explicit augmented matrix would be large.
-	VarianceAuto VarianceMethod = core.VarianceAuto
-	// VarianceDenseQR materializes the augmented matrix and solves by
-	// Householder QR — the paper's reference method.
-	VarianceDenseQR VarianceMethod = core.VarianceDenseQR
-	// VarianceNormalEquations streams the equations into AᵀA and solves by
-	// Cholesky; never materializes A.
-	VarianceNormalEquations VarianceMethod = core.VarianceNormalEquations
-)
-
 // NegCovPolicy chooses the treatment of negative measured path covariances
 // (a pure sampling artifact under the link-independence assumption S.2).
 type NegCovPolicy = core.NegativeCovPolicy
@@ -60,8 +45,6 @@ const (
 	// NegDrop discards the equation — the paper's printed rule. Can cost
 	// identifiability on sparse pair sets (see ErrUnidentifiable).
 	NegDrop NegCovPolicy = core.DropNegativeCov
-	// NegKeep uses the raw negative value.
-	NegKeep NegCovPolicy = core.KeepNegativeCov
 )
 
 // DefaultThreshold is the paper's congestion threshold tl = 0.002 (the LLRD
@@ -78,6 +61,15 @@ type settings struct {
 	shards   int
 	durDir   string
 	dur      DurabilityOptions
+}
+
+// newSettings resolves the options over the defaults.
+func newSettings(options []Option) *settings {
+	s := &settings{opts: core.Options{Threshold: DefaultThreshold}}
+	for _, o := range options {
+		o(s)
+	}
+	return s
 }
 
 // newAccumulator builds the moment accumulator the options select:
@@ -114,14 +106,6 @@ func (s *settings) effectiveDecay() float64 {
 // Option configures an Engine at construction.
 type Option func(*settings)
 
-// WithWorkers bounds the goroutines used by the parallel Phase-1
-// accumulation. 0 (the default) sizes pools to GOMAXPROCS; 1 forces
-// serial execution. Every setting produces bit-identical results —
-// parallelism never changes the answer.
-func WithWorkers(n int) Option {
-	return func(s *settings) { s.opts.Variance.Workers = n }
-}
-
 // WithStrategy selects the Phase-2 elimination strategy.
 func WithStrategy(st Strategy) Option {
 	return func(s *settings) { s.opts.Strategy = st }
@@ -136,15 +120,7 @@ func WithObservation(obs Observation) Option {
 // Threshold. The value is honored verbatim — WithThreshold(0) flags every
 // link with any inferred loss, it does not reinstate the default.
 func WithThreshold(tl float64) Option {
-	return func(s *settings) {
-		s.opts.Threshold = tl
-		s.opts.ThresholdSet = true
-	}
-}
-
-// WithVarianceMethod selects the Phase-1 solver.
-func WithVarianceMethod(m VarianceMethod) Option {
-	return func(s *settings) { s.opts.Variance.Method = m }
+	return func(s *settings) { s.opts.Threshold = tl }
 }
 
 // WithNegCovPolicy selects the treatment of negative measured covariances.

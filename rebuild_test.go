@@ -37,23 +37,27 @@ func TestShardedDirtyComponents(t *testing.T) {
 	}
 }
 
+// warmStarPaths sizes the star of TestEngineWarmRebuildMatchesCold.
+const warmStarPaths = 150
+
 // TestEngineWarmRebuildMatchesCold: every warm rebuild — the cached Phase-1
 // factor against a fresh right-hand-side fold — is bitwise-equal to a
 // cold-built engine fed the same stream, both for a windowed engine at
-// capacity and for a decayed one whose divisor moves on every add.
+// capacity and for a decayed one whose divisor moves on every add. The
+// 150-path star is past the dense-QR budget, so the size rule sends it to
+// the cached normal equations (internal/core's TestSizeRuleSelectsSolver
+// asserts that for this star).
 func TestEngineWarmRebuildMatchesCold(t *testing.T) {
 	ctx := context.Background()
-	rm, err := lia.NewTopology(shardStar(0, 100, 8))
+	rm, err := lia.NewTopology(shardStar(0, 100, warmStarPaths))
 	if err != nil {
 		t.Fatal(err)
 	}
 	const window = 10
 	stream := shardSnapshots(rm, window+4, 3)
 
-	// The cached factor lives on the normal-equations path; a system this
-	// small would auto-pick dense QR, so pin the method.
 	check := func(t *testing.T, opt lia.Option) {
-		eng, err := lia.NewEngine(rm, opt, lia.WithVarianceMethod(lia.VarianceNormalEquations))
+		eng, err := lia.NewEngine(rm, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +78,7 @@ func TestEngineWarmRebuildMatchesCold(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Cold reference: a fresh engine fed the same stream, first solve.
-			cold, err := lia.NewEngine(rm, opt, lia.WithVarianceMethod(lia.VarianceNormalEquations))
+			cold, err := lia.NewEngine(rm, opt)
 			if err != nil {
 				t.Fatal(err)
 			}

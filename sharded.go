@@ -58,11 +58,8 @@ func New(rm *RoutingMatrix, options ...Option) (Inferencer, error) {
 	if rm == nil {
 		return nil, errors.New("lia: nil routing matrix")
 	}
-	var s settings
-	for _, o := range options {
-		o(&s)
-	}
-	inner, err := newInner(rm, &s, options)
+	s := newSettings(options)
+	inner, err := newInner(rm, s, options)
 	if err != nil {
 		return nil, err
 	}
@@ -182,14 +179,11 @@ func NewShardedEngine(rm *RoutingMatrix, options ...Option) (*ShardedEngine, err
 	if rm == nil {
 		return nil, errors.New("lia: nil routing matrix")
 	}
-	var s settings
-	for _, o := range options {
-		o(&s)
-	}
+	s := newSettings(options)
 	if s.shards < 0 {
 		return nil, fmt.Errorf("lia: shard count %d must be non-negative", s.shards)
 	}
-	return newShardedEngine(rm, topology.NewPartition(rm), &s, options)
+	return newShardedEngine(rm, topology.NewPartition(rm), s, options)
 }
 
 // newShardedEngine assembles the engine from an already-computed partition

@@ -34,18 +34,13 @@ type ThinStats struct {
 	// Thinned counts snapshots dropped by sampling (Offered − Kept).
 	Thinned uint64
 	// KeepRate is the realized sampling fraction Kept/Offered (0 before
-	// the first snapshot).
+	// the first snapshot). i.i.d. thinning keeps the second-order moments
+	// the engine estimates unbiased (each kept snapshot is an unmodified
+	// draw from the same process), but the effective sample count behind
+	// every covariance shrinks by this factor, so estimator variance grows
+	// by 1/KeepRate and confidence intervals widen by √(1/KeepRate)
+	// (Rahman et al., arXiv:2008.13424).
 	KeepRate float64
-	// DivisorCorrection is Offered/Kept, the factor by which estimator
-	// variance is inflated relative to ingesting the full stream: i.i.d.
-	// thinning keeps the second-order moments the engine estimates
-	// unbiased (each kept snapshot is an unmodified draw from the same
-	// process), but the effective sample count behind every covariance is
-	// divided by the keep rate, so confidence intervals widen by
-	// √DivisorCorrection (Rahman et al., arXiv:2008.13424). Consumers
-	// comparing thinned-run variances against full-run baselines must
-	// divide by this factor. 0 before the first kept snapshot.
-	DivisorCorrection float64
 }
 
 // Thinner is the SnapshotSource returned by ThinSource.
@@ -63,9 +58,9 @@ type Thinner struct {
 // al.: when probing every epoch is too expensive, an i.i.d.-thinned stream
 // still identifies the same loss rates because the engine's second-order
 // moments are unbiased under subsampling; only the estimator variance
-// grows, by the divisor reported in Stats. Next pulls from the wrapped
-// source until a kept snapshot arrives, so EOF and transport errors pass
-// through at the position they occur.
+// grows, by the inverse of the keep rate reported in Stats. Next pulls from
+// the wrapped source until a kept snapshot arrives, so EOF and transport
+// errors pass through at the position they occur.
 //
 // Thinning decisions are seeded and keyed by offered-snapshot index, never
 // by wall clock, so a replay with the same seed keeps the same snapshots.
@@ -114,7 +109,7 @@ func (t *Thinner) keepDraw(i uint64) bool {
 	return rng.Float64() < t.cfg.Keep
 }
 
-// Stats reports the sampling counters and the variance-divisor correction.
+// Stats reports the sampling counters and the realized keep rate.
 func (t *Thinner) Stats() ThinStats {
 	t.mu.Lock()
 	offered, kept := t.offered, t.kept
@@ -122,9 +117,6 @@ func (t *Thinner) Stats() ThinStats {
 	st := ThinStats{Offered: offered, Kept: kept, Thinned: offered - kept}
 	if offered > 0 {
 		st.KeepRate = float64(kept) / float64(offered)
-	}
-	if kept > 0 {
-		st.DivisorCorrection = float64(offered) / float64(kept)
 	}
 	return st
 }

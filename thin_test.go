@@ -84,7 +84,7 @@ func TestThinSourceStride(t *testing.T) {
 	}
 }
 
-func TestThinStatsDivisorCorrection(t *testing.T) {
+func TestThinStatsKeepRate(t *testing.T) {
 	const n = 2000
 	src := lia.ThinSource(lia.NewSliceSource(indexed(n)), lia.ThinConfig{Keep: 0.25, Seed: 7})
 	kept := len(keptIndices(t, src))
@@ -92,20 +92,19 @@ func TestThinStatsDivisorCorrection(t *testing.T) {
 	if st.Offered != n || st.Kept != uint64(kept) || st.Thinned != n-uint64(kept) {
 		t.Fatalf("stats = %+v with %d kept", st, kept)
 	}
+	if want := float64(kept) / n; st.KeepRate != want {
+		t.Fatalf("keep rate %g, want Kept/Offered = %g", st.KeepRate, want)
+	}
 	if math.Abs(st.KeepRate-0.25) > 0.05 {
 		t.Fatalf("realized keep rate %g far from 0.25", st.KeepRate)
 	}
-	wantDiv := float64(n) / float64(kept)
-	if st.DivisorCorrection != wantDiv {
-		t.Fatalf("divisor correction %g, want Offered/Kept = %g", st.DivisorCorrection, wantDiv)
-	}
-	// No thinning => unit divisor and a pass-through stream.
+	// No thinning => unit keep rate and a pass-through stream.
 	full := lia.ThinSource(lia.NewSliceSource(indexed(5)), lia.ThinConfig{})
 	if got := keptIndices(t, full); len(got) != 5 {
 		t.Fatalf("Keep=0 (no thinning) kept %d of 5", len(got))
 	}
-	if st := full.Stats(); st.DivisorCorrection != 1 || st.KeepRate != 1 {
-		t.Fatalf("unthinned stats = %+v, want unit rate and divisor", st)
+	if st := full.Stats(); st.KeepRate != 1 {
+		t.Fatalf("unthinned stats = %+v, want unit keep rate", st)
 	}
 }
 
