@@ -222,12 +222,13 @@ func randomWorkload(t testing.TB, seed uint64, hosts int) (*topology.RoutingMatr
 	return rm, truth, syntheticSnapshots(rng, rm, truth, 200)
 }
 
-// TestParallelMatchesSerial asserts the sharded Phase-1 accumulation agrees
-// with the serial walk within 1e-10 on randomized topologies, for both
-// solvers and every negative-covariance policy.
+// TestParallelMatchesSerial asserts the sharded Phase-1 accumulation on 8
+// workers is bitwise equal to the serial walk on randomized topologies of
+// three pair shards each, for both solvers and every negative-covariance
+// policy.
 func TestParallelMatchesSerial(t *testing.T) {
 	for _, seed := range []uint64{3, 17, 99} {
-		rm, _, acc := randomWorkload(t, seed, 70)
+		rm, _, acc := randomWorkload(t, seed, 150)
 		for _, sv := range solvers {
 			for _, pol := range []NegativeCovPolicy{ClampNegativeCov, DropNegativeCov} {
 				p := pinnedPhase1(rm, VarianceOptions{NegPolicy: pol}, sv.dense)
@@ -240,7 +241,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 					t.Fatalf("seed %d %s/%v parallel: %v", seed, sv.name, pol, err)
 				}
 				for k := range serial {
-					if math.Abs(serial[k]-par[k]) > 1e-10 {
+					if math.Float64bits(serial[k]) != math.Float64bits(par[k]) {
 						t.Fatalf("seed %d %s/%v link %d: serial %g, parallel %g",
 							seed, sv.name, pol, k, serial[k], par[k])
 					}
