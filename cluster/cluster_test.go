@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"math"
@@ -249,11 +250,16 @@ func TestFleetParity(t *testing.T) {
 	}
 }
 
+// clusterFingerprint is the SHA-256 of the single-process estimates that
+// TestClusterScalingFingerprint gathers from every placement.
+const clusterFingerprint = "3fe0d151937abd18d5cb2dda9da001d2ca4e5fa4e36bce1c2c42b7c044d8833a"
+
 // TestClusterScalingFingerprint extends the root package's scaling
 // fingerprint to cluster placement: the SHA-256 of the gathered estimates
 // is bitwise-identical across 1/2/4-node placements, across join orders,
-// and to the single-process engine. CI runs this at several GOMAXPROCS
-// values and asserts the printed fingerprint never changes.
+// and to the single-process engine, whose digest is pinned. CI also runs
+// this at several GOMAXPROCS values and asserts the printed fingerprint
+// never changes.
 func TestClusterScalingFingerprint(t *testing.T) {
 	ctx := context.Background()
 	rm, snaps := workload(t)
@@ -285,6 +291,9 @@ func TestClusterScalingFingerprint(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := digest(refRes)
+	if got := hex.EncodeToString(want[:]); got != clusterFingerprint {
+		t.Fatalf("single-process fingerprint = %s, want %s", got, clusterFingerprint)
+	}
 
 	for _, ids := range [][]string{
 		{"solo"},

@@ -153,9 +153,7 @@ func (e *Engine) IngestBatch(ys [][]float64) error {
 		}
 	}
 	e.mu.Lock()
-	for _, y := range ys {
-		e.acc.Add(y)
-	}
+	e.acc.AddBatch(ys)
 	e.epoch.Add(uint64(len(ys)))
 	e.mu.Unlock()
 	return nil

@@ -13,8 +13,7 @@ import (
 // the codec guarantees is that encode → decode → continued Adds produces
 // moments bitwise identical to an uninterrupted run. To that end every
 // float64 round-trips through math.Float64bits (no text formatting, no
-// re-derivation), and only durable state is persisted — the delta scratch
-// buffers are recreated on decode.
+// re-derivation), and only durable state is persisted.
 //
 // Record layout (all integers little-endian):
 //

@@ -25,13 +25,19 @@ type CovView interface {
 }
 
 // MomentAccumulator is the write side shared by the cumulative, windowed and
-// decaying second-order accumulators: fold snapshots in with Add, hand the
-// solvers a frozen CovView with View. Implementations are not safe for
-// concurrent use; callers (e.g. lia.Engine) serialise externally.
+// decaying second-order accumulators: fold snapshots in with Add or
+// AddBatch, hand the solvers a frozen CovView with View. Both folds run one
+// blocked kernel, so batching never changes a bit of the moments.
+// Implementations are not safe for concurrent use; callers (e.g.
+// lia.Engine) serialise externally.
 type MomentAccumulator interface {
 	CovView
 	// Add folds one snapshot vector into the moments.
 	Add(y []float64)
+	// AddBatch folds the snapshots of ys in order; the moments it leaves
+	// are bitwise-equal to calling Add on each. Every vector is checked
+	// before any is folded.
+	AddBatch(ys [][]float64)
 	// View returns an immutable snapshot of exactly the state a covariance
 	// read needs (the packed co-moment triangle and its divisor) — much
 	// cheaper than cloning the whole accumulator, and safe to read
@@ -71,15 +77,14 @@ func (s *CovSnapshot) Cov(i, j int) float64 {
 func (s *CovSnapshot) NumComoments() int { return len(s.comom) }
 
 // CovAccumulator builds the empirical covariance matrix Σ̂ of the per-path
-// log transmission rates incrementally, one snapshot vector at a time, using
-// a numerically stable streaming update (Welford generalized to
-// cross-moments).
+// log transmission rates incrementally using a numerically stable streaming
+// update (Welford generalized to cross-moments), folded in blocks of
+// snapshots with one sweep of the co-moment triangle per block.
 type CovAccumulator struct {
 	n     int
 	dim   int
 	mean  []float64
 	comom []float64 // packed upper triangle of co-moment sums
-	delta []float64 // scratch for Add: pre-update deviations, reused per call
 }
 
 // NewCovAccumulator creates an accumulator for dim-dimensional vectors.
@@ -88,7 +93,6 @@ func NewCovAccumulator(dim int) *CovAccumulator {
 		dim:   dim,
 		mean:  make([]float64, dim),
 		comom: make([]float64, dim*(dim+1)/2),
-		delta: make([]float64, dim),
 	}
 }
 
@@ -98,34 +102,17 @@ func triIndex(i, j, dim int) int {
 }
 
 // Add folds one snapshot vector into the moments.
-func (c *CovAccumulator) Add(y []float64) {
-	if len(y) != c.dim {
-		panic(fmt.Sprintf("stats: Add vector of length %d to %d-dim accumulator", len(y), c.dim))
-	}
-	c.n++
-	welfordFold(c.mean, c.comom, c.delta, y, 1/float64(c.n), c.dim)
-}
+func (c *CovAccumulator) Add(y []float64) { c.AddBatch([][]float64{y}) }
 
-// welfordFold applies one streaming Welford step with new-sample weight inv
-// (1/count for uniform weights): delta before the mean update, delta2 after,
-// comom += delta_i · delta2_j. It is the single fold shared by the
-// cumulative, windowed and decaying accumulators, so their arithmetic — and
-// therefore their documented bit-level agreement — cannot drift apart. The
-// caller-owned delta scratch keeps the fold allocation-free; it sits on the
-// Phase-1 ingest path, called once per snapshot.
-func welfordFold(mean, comom, delta, y []float64, inv float64, dim int) {
-	for i, v := range y {
-		delta[i] = v - mean[i]
-	}
-	for i := range mean {
-		mean[i] += delta[i] * inv
-	}
-	for i := 0; i < dim; i++ {
-		di := delta[i]
-		base := triIndex(i, i, dim)
-		for j := i; j < dim; j++ {
-			comom[base+(j-i)] += di * (y[j] - mean[j])
-		}
+// AddBatch folds the snapshots of ys in order, bitwise-equal to one Add per
+// snapshot.
+func (c *CovAccumulator) AddBatch(ys [][]float64) {
+	b := newBlock(c.dim, ys, 1)
+	for _, y := range ys {
+		c.n++
+		d, e := b.next()
+		welfordStep(c.mean, d, e, y, 1/float64(c.n))
+		b.fold(c.comom, 1)
 	}
 }
 
@@ -142,14 +129,13 @@ func (c *CovAccumulator) Clone() *CovAccumulator {
 		dim:   c.dim,
 		mean:  append([]float64(nil), c.mean...),
 		comom: append([]float64(nil), c.comom...),
-		delta: make([]float64, c.dim),
 	}
 }
 
 // View returns a frozen snapshot of the covariance state: the co-moment
-// triangle and divisor, without the mean or scratch buffers. The Phase-1
-// right-hand-side fold reads nothing else, so this is what lia.Engine
-// captures under its ingest lock instead of cloning the whole accumulator.
+// triangle and divisor, without the mean. The Phase-1 right-hand-side fold
+// reads nothing else, so this is what lia.Engine captures under its ingest
+// lock instead of cloning the whole accumulator.
 func (c *CovAccumulator) View() *CovSnapshot {
 	return &CovSnapshot{
 		dim:   c.dim,

@@ -208,7 +208,8 @@ func TestMeanVariance(t *testing.T) {
 }
 
 func TestCovAccumulatorAddZeroAlloc(t *testing.T) {
-	// Add sits on the Phase-1 snapshot ingest path: it must not allocate.
+	// Add and AddBatch sit on the Phase-1 snapshot ingest path: they must not
+	// allocate.
 	acc := NewCovAccumulator(64)
 	y := make([]float64, 64)
 	for i := range y {
@@ -216,5 +217,9 @@ func TestCovAccumulatorAddZeroAlloc(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { acc.Add(y) }); n != 0 {
 		t.Errorf("CovAccumulator.Add allocates %v times per run", n)
+	}
+	ys := [][]float64{y, y, y, y, y, y, y, y, y, y, y}
+	if n := testing.AllocsPerRun(100, func() { acc.AddBatch(ys) }); n != 0 {
+		t.Errorf("CovAccumulator.AddBatch allocates %v times per run", n)
 	}
 }

@@ -9,8 +9,9 @@ import "fmt"
 // tracks regime changes instead of averaging over all history.
 //
 // Add is O(dim²) — the same cost as the cumulative accumulator plus one
-// O(dim²) removal once the window is full. Memory is window·dim floats for
-// the ring plus the usual packed co-moment triangle.
+// O(dim²) removal once the window is full; the removal rides in the same
+// sweep of the co-moment triangle as the fold. Memory is window·dim floats
+// for the ring plus the usual packed co-moment triangle.
 type WindowedCovAccumulator struct {
 	window int
 	dim    int
@@ -19,7 +20,6 @@ type WindowedCovAccumulator struct {
 	comom  []float64 // packed upper triangle of co-moment sums
 	ring   []float64 // window·dim backing for the retained snapshots
 	head   int       // ring slot the next Add overwrites (the oldest sample)
-	delta  []float64 // scratch, reused per call
 }
 
 // NewWindowedCovAccumulator creates an accumulator over the last `window`
@@ -35,7 +35,6 @@ func NewWindowedCovAccumulator(dim, window int) *WindowedCovAccumulator {
 		mean:   make([]float64, dim),
 		comom:  make([]float64, dim*(dim+1)/2),
 		ring:   make([]float64, window*dim),
-		delta:  make([]float64, dim),
 	}
 }
 
@@ -52,54 +51,41 @@ func (c *WindowedCovAccumulator) Dim() int { return c.dim }
 // snapshot once the window is full. Below capacity the arithmetic is
 // identical to CovAccumulator.Add, so a windowed accumulator that has not
 // wrapped yet matches the cumulative one bit for bit.
-func (c *WindowedCovAccumulator) Add(y []float64) {
-	if len(y) != c.dim {
-		panic(fmt.Sprintf("stats: Add vector of length %d to %d-dim accumulator", len(y), c.dim))
-	}
-	slot := c.ring[c.head*c.dim : (c.head+1)*c.dim]
-	if c.n == c.window {
-		c.remove(slot)
-	}
-	copy(slot, y)
-	c.head = (c.head + 1) % c.window
-	c.n++
-	welfordFold(c.mean, c.comom, c.delta, y, 1/float64(c.n), c.dim)
-}
+func (c *WindowedCovAccumulator) Add(y []float64) { c.AddBatch([][]float64{y}) }
 
-// remove cancels a previously folded snapshot by running the Welford update
-// backwards: with y among the current n samples,
+// AddBatch folds the snapshots of ys in order, bitwise-equal to one Add per
+// snapshot, including evictions of snapshots the same batch folded.
 //
-//	mean_pre  = mean − (y − mean)/(n−1)
-//	comom_pre = comom − (y − mean_pre) ⊗ (y − mean)
+// The eviction runs the Welford update backwards: with x among the current
+// n samples,
+//
+//	mean_pre  = mean − (x − mean)/(n−1)
+//	comom_pre = comom − (x − mean_pre) ⊗ (x − mean)
 //
 // which inverts Add exactly in real arithmetic (and to rounding error in
-// floating point).
-func (c *WindowedCovAccumulator) remove(y []float64) {
-	c.n--
-	if c.n == 0 {
-		for i := range c.mean {
-			c.mean[i] = 0
+// floating point). Its update enters the block as l = −(x − mean_pre),
+// r = x − mean: negation is exact, so comom + l_i·r_j rounds exactly as
+// comom − (x − mean_pre)_i·(x − mean)_j.
+func (c *WindowedCovAccumulator) AddBatch(ys [][]float64) {
+	b := newBlock(c.dim, ys, 2)
+	for _, y := range ys {
+		slot := c.ring[c.head*c.dim : (c.head+1)*c.dim]
+		if c.n == c.window {
+			c.n--
+			inv := 1 / float64(c.n)
+			l, r := b.next()
+			for i, x := range slot {
+				r[i] = x - c.mean[i]
+				c.mean[i] -= r[i] * inv
+				l[i] = -(x - c.mean[i])
+			}
 		}
-		for i := range c.comom {
-			c.comom[i] = 0
-		}
-		return
-	}
-	inv := 1 / float64(c.n)
-	delta2 := c.delta // y − mean (post-add mean, i.e. the current one)
-	for i, v := range y {
-		delta2[i] = v - c.mean[i]
-	}
-	for i := range c.mean {
-		c.mean[i] -= delta2[i] * inv
-	}
-	// c.mean is now the pre-add mean, so y − c.mean is the pre-add delta.
-	for i := 0; i < c.dim; i++ {
-		di := y[i] - c.mean[i]
-		base := triIndex(i, i, c.dim)
-		for j := i; j < c.dim; j++ {
-			c.comom[base+(j-i)] -= di * delta2[j]
-		}
+		copy(slot, y)
+		c.head = (c.head + 1) % c.window
+		c.n++
+		d, e := b.next()
+		welfordStep(c.mean, d, e, y, 1/float64(c.n))
+		b.fold(c.comom, 1)
 	}
 }
 
@@ -147,7 +133,6 @@ type DecayCovAccumulator struct {
 	w2     float64 // decayed squared-weight sum Σ λ^2·age (for the unbiased divisor)
 	mean   []float64
 	comom  []float64
-	delta  []float64
 }
 
 // NewDecayCovAccumulator creates a decaying accumulator with per-snapshot
@@ -161,7 +146,6 @@ func NewDecayCovAccumulator(dim int, lambda float64) *DecayCovAccumulator {
 		lambda: lambda,
 		mean:   make([]float64, dim),
 		comom:  make([]float64, dim*(dim+1)/2),
-		delta:  make([]float64, dim),
 	}
 }
 
@@ -181,19 +165,21 @@ func (c *DecayCovAccumulator) Dim() int { return c.dim }
 
 // Add folds one snapshot into the decayed moments (weighted Welford with a
 // pre-scale of the existing mass by λ).
-func (c *DecayCovAccumulator) Add(y []float64) {
-	if len(y) != c.dim {
-		panic(fmt.Sprintf("stats: Add vector of length %d to %d-dim accumulator", len(y), c.dim))
+func (c *DecayCovAccumulator) Add(y []float64) { c.AddBatch([][]float64{y}) }
+
+// AddBatch folds the snapshots of ys in order, bitwise-equal to one Add per
+// snapshot: the sweep scales each co-moment entry by λ before each
+// snapshot's update.
+func (c *DecayCovAccumulator) AddBatch(ys [][]float64) {
+	b := newBlock(c.dim, ys, 1)
+	for _, y := range ys {
+		c.n++
+		c.w = c.lambda*c.w + 1
+		c.w2 = c.lambda*c.lambda*c.w2 + 1
+		d, e := b.next()
+		welfordStep(c.mean, d, e, y, 1/c.w)
+		b.fold(c.comom, c.lambda)
 	}
-	c.n++
-	c.w = c.lambda*c.w + 1
-	c.w2 = c.lambda*c.lambda*c.w2 + 1
-	if c.lambda != 1 {
-		for i := range c.comom {
-			c.comom[i] *= c.lambda
-		}
-	}
-	welfordFold(c.mean, c.comom, c.delta, y, 1/c.w, c.dim)
 }
 
 // div is the reliability-weighted unbiased divisor W − W₂/W, which reduces

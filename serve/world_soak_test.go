@@ -243,15 +243,21 @@ func TestWorldRegimeShiftSoak(t *testing.T) {
 		}
 	}
 
-	// A cumulative engine over the full mixed stream does NOT converge to
-	// the within-regime variance: the regime shift moves the mean, so the
+	// A cumulative engine over the mixed stream does NOT converge to the
+	// within-regime variance: the regime shift moves the mean, so the
 	// mixture variance overshoots by the between-regime term. That gap is
-	// what windowing buys.
+	// what windowing buys. The cumulative engine takes the window+32
+	// snapshots on either side of the shift, not everything recorded: the
+	// sources pull thousands of pre-shift snapshots before the shift is
+	// scheduled and more after the wait returns, as fast as the machine
+	// runs, and that mix decides the ratio. shiftWin ≥ window+32, since the
+	// shift was scheduled 16 ticks past at least 80 ingested snapshots.
 	cum, err := lia.NewEngine(rm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cum.IngestBatch(ys); err != nil {
+	mixed := recWin.recorded(shiftWin + window + 32)[shiftWin-window-32:]
+	if err := cum.IngestBatch(mixed); err != nil {
 		t.Fatal(err)
 	}
 	cumVars, err := cum.Variances(ctx)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"math"
 	"math/rand/v2"
@@ -460,9 +461,14 @@ func TestShardedErrorsAndStats(t *testing.T) {
 	}
 }
 
-// TestScalingFingerprint prints a deterministic digest of the sharded and
-// unsharded estimates. CI's scaling job runs it at GOMAXPROCS=1,2,4 and
-// asserts the printed fingerprint never changes: every parallel path is
+// scalingFingerprint is the SHA-256 of TestScalingFingerprint's estimates.
+// Any change to the moment fold, Phase 1, the elimination or the reduced
+// solve that moves a bit moves it.
+const scalingFingerprint = "4bd42598452e914b1ad7f03314f0f365a59e0ed924d578ce23eccd5eab5a59ce"
+
+// TestScalingFingerprint pins a digest of the sharded and unsharded
+// estimates. CI's scaling job also runs it at GOMAXPROCS=1,2,4 and asserts
+// the printed fingerprint never changes: every parallel path is
 // bit-deterministic across worker counts.
 func TestScalingFingerprint(t *testing.T) {
 	ctx := context.Background()
@@ -491,5 +497,9 @@ func TestScalingFingerprint(t *testing.T) {
 		feed(res.LossRates)
 		feed(res.LogRates)
 	}
-	t.Logf("fingerprint=%x", h.Sum(nil))
+	got := hex.EncodeToString(h.Sum(nil))
+	t.Logf("fingerprint=%s", got)
+	if got != scalingFingerprint {
+		t.Fatalf("fingerprint = %s, want %s", got, scalingFingerprint)
+	}
 }
