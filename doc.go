@@ -24,6 +24,17 @@
 //   - WithObservation(ObserveLinear) switches the snapshot semantics to
 //     additive path metrics — the §8 delay-tomography extension.
 //
+// Paper → code, one function per row (the internal packages under
+// lia/internal):
+//
+//	paper                                     function
+//	§5.1 eq. 7, second-order moments          stats.CovAccumulator.AddBatch
+//	Lemma 1, Phase 1: solve Σ* = A·v          core.Phase1.Estimate
+//	Lemma 2 / Theorem 1, identifiability      core.Identifiable
+//	§5.2 Phase 2, least-variant elimination   core.Eliminate
+//	eq. 9, reduced first-order solve          core.SolveReduced
+//	congestion threshold t_l = 0.002          core.Result.Congested
+//
 // An Engine is safe for concurrent use: snapshot ingestion serialises on a
 // short critical section (one Welford fold), while Infer runs lock-free in
 // the steady state against an atomically-swapped cache of the Phase-1

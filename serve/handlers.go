@@ -14,6 +14,12 @@ import (
 // either "y" (observation vector, e.g. log transmission rates — ingested
 // as-is) or "frac" (per-path received fractions, converted with
 // lia.LogRates using "probes" or the topology's configured probe count).
+//
+// The body contract: "y" and "frac" hold JSON numbers only, with no null
+// elements (a null would read as 0, a path that does not exist), and a
+// unary request (POST /v1/infer, /v1/snapshots) carries exactly one JSON
+// value, followed by nothing but whitespace. Keys match case-insensitively
+// and unknown keys are ignored, as in encoding/json.
 type SnapshotPayload struct {
 	Y      []float64 `json:"y,omitempty"`
 	Frac   []float64 `json:"frac,omitempty"`
@@ -22,7 +28,8 @@ type SnapshotPayload struct {
 
 // IngestRequest is the body of POST /v1/snapshots: a single snapshot
 // (inline "y"/"frac") or a batch under "snapshots". A batch is atomic —
-// either every snapshot folds in or none does.
+// either every snapshot folds in or none does. The SnapshotPayload body
+// contract holds for it, and "snapshots" holds no null elements either.
 type IngestRequest struct {
 	SnapshotPayload
 	Snapshots []SnapshotPayload `json:"snapshots,omitempty"`
@@ -252,17 +259,17 @@ func (s *Server) resolve(w http.ResponseWriter, r *http.Request) (*topo, bool) {
 	return tp, true
 }
 
-// vector converts one snapshot payload to the engine's observation vector.
-func (tp *topo) vector(p SnapshotPayload) ([]float64, error) {
+// vector converts one snapshot payload to the engine's observation vector;
+// "frac" without "probes" converts with the given default probe count.
+func vector(p SnapshotPayload, probes int) ([]float64, error) {
 	switch {
 	case len(p.Y) > 0 && len(p.Frac) > 0:
 		return nil, errors.New(`"y" and "frac" are mutually exclusive`)
 	case len(p.Y) > 0:
 		return p.Y, nil
 	case len(p.Frac) > 0:
-		probes := p.Probes
-		if probes <= 0 {
-			probes = tp.probes
+		if p.Probes > 0 {
+			probes = p.Probes
 		}
 		return lia.LogRates(p.Frac, probes), nil
 	default:
@@ -289,11 +296,11 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req IngestRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeBody(r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
 		return
 	}
-	ys, err := tp.ingestVectors(req)
+	ys, err := ingestVectors(req, tp.probes)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -317,11 +324,11 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SnapshotPayload
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeBody(r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
 		return
 	}
-	y, err := tp.vector(req)
+	y, err := vector(req, tp.probes)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return

@@ -7,9 +7,11 @@ import (
 	"io"
 	"net/http"
 	"reflect"
+	"runtime"
 	"time"
 
 	"lia"
+	"lia/internal/par"
 )
 
 // WatchComponentStats is one sharded component's entry in a WatchEvent: the
@@ -161,8 +163,10 @@ type StreamIngestResponse struct {
 // concatenated-JSON framing), each an IngestRequest — a single snapshot or an
 // atomic batch — folded in as it arrives, so one persistent connection can
 // carry an unbounded measurement stream without per-request overhead. A
-// malformed or rejected record aborts the stream; the error response names
-// the offending record index and how many snapshots were ingested before it.
+// json.Decoder frames the records; each decodes through
+// IngestRequest.UnmarshalJSON, the unary endpoints' decoder. A malformed or
+// rejected record aborts the stream; the error response names the offending
+// record index and how many snapshots were ingested before it.
 func (s *Server) handleStreamIngest(w http.ResponseWriter, r *http.Request) {
 	tp, ok := s.resolve(w, r)
 	if !ok {
@@ -185,7 +189,7 @@ func (s *Server) handleStreamIngest(w http.ResponseWriter, r *http.Request) {
 			fail(http.StatusBadRequest, rec, fmt.Errorf("decode: %w", err))
 			return
 		}
-		ys, err := tp.ingestVectors(req)
+		ys, err := ingestVectors(req, tp.probes)
 		if err != nil {
 			fail(http.StatusBadRequest, rec, err)
 			return
@@ -206,8 +210,9 @@ func (s *Server) handleStreamIngest(w http.ResponseWriter, r *http.Request) {
 
 // ingestVectors converts one IngestRequest (inline snapshot or batch) to the
 // engine's observation vectors, shared by the unary and streaming ingest
-// handlers.
-func (tp *topo) ingestVectors(req IngestRequest) ([][]float64, error) {
+// handlers. The snapshots convert in parallel; the lowest failing index is
+// the one reported.
+func ingestVectors(req IngestRequest, probes int) ([][]float64, error) {
 	single := len(req.Y) > 0 || len(req.Frac) > 0
 	if single && len(req.Snapshots) > 0 {
 		return nil, errors.New(`use either an inline snapshot or "snapshots", not both`)
@@ -220,12 +225,14 @@ func (tp *topo) ingestVectors(req IngestRequest) ([][]float64, error) {
 		return nil, errors.New("no snapshots in request")
 	}
 	ys := make([][]float64, len(payloads))
-	for i, p := range payloads {
-		y, err := tp.vector(p)
+	errs := make([]error, len(payloads))
+	par.Do(runtime.GOMAXPROCS(0), len(payloads), func(_, i int) {
+		ys[i], errs[i] = vector(payloads[i], probes)
+	})
+	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("snapshot %d: %w", i, err)
 		}
-		ys[i] = y
 	}
 	return ys, nil
 }
