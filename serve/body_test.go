@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -103,5 +105,42 @@ func TestStreamBadRecordAfterConcatenated(t *testing.T) {
 	}
 	if st := getStatus(t, ts.URL).Topologies["default"]; st.Snapshots != 3 {
 		t.Fatalf("stream folded %d snapshots, want 3", st.Snapshots)
+	}
+}
+
+// TestBodyBufferFollowsArrivedBytes checks that a unary body's buffer
+// grows with the bytes that arrive: a short body that declares 16 MiB must
+// not make the handler allocate anything like it, and a body longer than
+// the first buffer reads whole whether its length is declared exactly, not
+// at all, or short.
+func TestBodyBufferFollowsArrivedBytes(t *testing.T) {
+	s, _, _ := newTestServer(t)
+	h := s.Handler()
+	post := func(path, body string, declared int64) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
+		req.ContentLength = declared
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec
+	}
+	short := `{"y":` + vec("-0.1") + `}`
+	for _, path := range []string{"/v1/snapshots", "/v1/infer"} {
+		post(path, short, 16<<20)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rec := post(path, short, 16<<20)
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > 256<<10 {
+			t.Errorf("%s: a short body declaring 16 MiB allocated %d bytes (status %d)", path, got, rec.Code)
+		}
+	}
+
+	const snaps = 20000 // 1.08 MB: the buffer grows twice even when declared
+	long := `{"snapshots":[` + strings.Repeat(short+",", snaps-1) + short + `]}`
+	for _, declared := range []int64{int64(len(long)), -1, 1} {
+		rec := post("/v1/snapshots", long, declared)
+		if want := fmt.Sprintf(`"ingested":%d`, snaps); rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), want) {
+			t.Errorf("declared %d of %d bytes: %d %s", declared, len(long), rec.Code, rec.Body)
+		}
 	}
 }

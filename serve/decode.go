@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -24,10 +25,6 @@ import (
 // maxDepth is encoding/json's nesting limit, kept so that both reject the
 // same bodies.
 const maxDepth = 10000
-
-// maxPresize bounds the body buffer allocated up front from a request's
-// declared Content-Length; a longer body grows the buffer as it arrives.
-const maxPresize = 16 << 20
 
 // errNull marks a null in place of a snapshot or of one of its numbers.
 // encoding/json would decode it as a zero snapshot or as 0, a fabricated
@@ -67,18 +64,35 @@ func (r *IngestRequest) UnmarshalJSON(b []byte) error {
 	return decode(b, &r.SnapshotPayload, &r.Snapshots)
 }
 
+// bodyStart is the most a unary body's buffer reserves before any byte of
+// the body has arrived.
+const bodyStart = 64 << 10
+
 // decodeBody reads a unary request's body whole and decodes it into v.
-// The buffer is sized from Content-Length when the client declares one.
+// The buffer reserves the declared Content-Length only as the body
+// arrives: it starts at bodyStart at most and, each time it fills, grows
+// sixteenfold up to the declared length. A client that declares a long
+// body and sends a short one holds 64 KiB, or sixteen times what it sent
+// if that is more, and a declared body of up to 1 MiB costs one copy of
+// 64 KiB.
 func decodeBody(r *http.Request, v interface{ UnmarshalJSON([]byte) error }) error {
-	n := r.ContentLength
-	if n < 0 || n > maxPresize {
-		n = 0
+	buf := make([]byte, 0, min(max(r.ContentLength, 0), bodyStart)+bytes.MinRead)
+	for {
+		if len(buf) == cap(buf) {
+			n := int64(len(buf))
+			grown := make([]byte, n, max(min(16*n, r.ContentLength+bytes.MinRead), 2*n))
+			copy(grown, buf)
+			buf = grown
+		}
+		n, err := r.Body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return v.UnmarshalJSON(buf)
+		}
+		if err != nil {
+			return err
+		}
 	}
-	buf := bytes.NewBuffer(make([]byte, 0, n+bytes.MinRead))
-	if _, err := buf.ReadFrom(r.Body); err != nil {
-		return err
-	}
-	return v.UnmarshalJSON(buf.Bytes())
 }
 
 // decode decodes body, one JSON value and nothing after it but whitespace,
@@ -112,8 +126,8 @@ type decoder struct {
 	off   int
 	depth int // open objects and arrays around off
 	// hint is the length of the last number array decoded, the capacity
-	// the next one starts with: the paths of one topology come in
-	// same-length vectors.
+	// the next one starts with (the paths of one topology come in
+	// same-length vectors), up to what the bytes left can hold.
 	hint int
 }
 
@@ -434,7 +448,9 @@ func (d *decoder) numbers(dst *[]float64, name string) error {
 		*dst = []float64{}
 		return nil
 	}
-	out := make([]float64, 0, d.hint)
+	// A number and its comma take two bytes at least, so a body cannot
+	// make an array reserve more than four times the bytes left in it.
+	out := make([]float64, 0, min(d.hint, (len(d.buf)-d.off)/2))
 	for more := true; more; {
 		switch c := d.peek(); {
 		case c == 'n':

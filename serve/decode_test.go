@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -333,6 +334,38 @@ func TestDecodeErrors(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %v, want %q", tc.body, err, tc.want)
 		}
+	}
+}
+
+// allocated returns the bytes the heap allocated while fn ran.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestDecodeAllocationBounded checks that the decoder allocates in
+// proportion to the body it reads. A long "y" array sets the capacity the
+// next arrays start with; a thousand elements that then fail at their
+// first element must not each reserve it. One worker decodes every
+// snapshot, so the long array's length reaches all of them. Growing the
+// long array costs about twenty bytes per byte of its text; each failing
+// element reserving its length would cost 500 MB.
+func TestDecodeAllocationBounded(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	body := []byte(`{"snapshots":[{"y":[0` + strings.Repeat(",0", 1<<16) + `]}` +
+		strings.Repeat(`,{"y":[null]}`, 1000) + `]}`)
+	decode := func() {
+		var req IngestRequest
+		if err := req.UnmarshalJSON(body); err == nil || !strings.Contains(err.Error(), "snapshot 1: y[0]: null element") {
+			t.Fatalf("error %v, want snapshot 1's null element", err)
+		}
+	}
+	decode()
+	if got, limit := allocated(decode), 32*uint64(len(body)); got > limit {
+		t.Fatalf("decoding a %d-byte body allocated %d bytes, want at most %d", len(body), got, limit)
 	}
 }
 

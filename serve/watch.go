@@ -7,11 +7,9 @@ import (
 	"io"
 	"net/http"
 	"reflect"
-	"runtime"
 	"time"
 
 	"lia"
-	"lia/internal/par"
 )
 
 // WatchComponentStats is one sharded component's entry in a WatchEvent: the
@@ -210,8 +208,7 @@ func (s *Server) handleStreamIngest(w http.ResponseWriter, r *http.Request) {
 
 // ingestVectors converts one IngestRequest (inline snapshot or batch) to the
 // engine's observation vectors, shared by the unary and streaming ingest
-// handlers. The snapshots convert in parallel; the lowest failing index is
-// the one reported.
+// handlers.
 func ingestVectors(req IngestRequest, probes int) ([][]float64, error) {
 	single := len(req.Y) > 0 || len(req.Frac) > 0
 	if single && len(req.Snapshots) > 0 {
@@ -225,14 +222,12 @@ func ingestVectors(req IngestRequest, probes int) ([][]float64, error) {
 		return nil, errors.New("no snapshots in request")
 	}
 	ys := make([][]float64, len(payloads))
-	errs := make([]error, len(payloads))
-	par.Do(runtime.GOMAXPROCS(0), len(payloads), func(_, i int) {
-		ys[i], errs[i] = vector(payloads[i], probes)
-	})
-	for i, err := range errs {
+	for i, p := range payloads {
+		y, err := vector(p, probes)
 		if err != nil {
 			return nil, fmt.Errorf("snapshot %d: %w", i, err)
 		}
+		ys[i] = y
 	}
 	return ys, nil
 }
