@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -304,6 +305,13 @@ func (e *Engine) rebuild(ctx context.Context) (st *phaseState, epoch uint64, err
 	vars, err := e.p1.Estimate(view)
 	if err != nil {
 		return nil, epoch, fmt.Errorf("lia: phase 1: %w", err)
+	}
+	// Moments overflowed by huge finite inputs never recover, and a state
+	// built on them cannot be served (JSON has no NaN or infinity).
+	for k, v := range vars {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, epoch, fmt.Errorf("lia: phase 1: link %d variance is %v: the moments overflowed", k, v)
+		}
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, epoch, err

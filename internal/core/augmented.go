@@ -29,15 +29,7 @@ type PairVisitor func(i, j int, support []int32)
 // pair-support index: they are stable views that may be retained but must
 // not be modified.
 func VisitPairs(rm *topology.RoutingMatrix, visit PairVisitor) {
-	VisitPairsRange(rm, 0, rm.NumPairs(), visit)
-}
-
-// VisitPairsRange enumerates the augmented rows with packed pair indices in
-// [from, to). Disjoint ranges can be walked concurrently; the sharded
-// Phase-1 accumulators rely on this to partition the O(np²) equation stream
-// across goroutines.
-func VisitPairsRange(rm *topology.RoutingMatrix, from, to int, visit PairVisitor) {
-	rm.VisitPairSupports(from, to, visit)
+	rm.VisitPairSupports(0, rm.NumPairs(), visit)
 }
 
 // Gram accumulates the normal equations AᵀA·v = AᵀΣ* without materializing

@@ -14,8 +14,9 @@ import (
 //
 // The topology alone picks the solver, once, at construction: systems whose
 // dense least-squares cost rows·nc² fits denseBudget are solved by
-// Householder QR on the materialized augmented rows; larger ones by the
-// normal equations AᵀA·v = AᵀΣ*, which never materialize A.
+// Householder QR; larger ones by the normal equations AᵀA·v = AᵀΣ*. Neither
+// materializes A: the QR stores A's first nc rows and then each distinct
+// row below them once, and sweeps each stored row once per reflector.
 //
 // Under the default ClampNegativeCov policy every equation survives (only
 // its right-hand side is adjusted), so the Gram matrix G = AᵀA of the
@@ -28,7 +29,10 @@ import (
 // bit-identical to EstimateVariances with the same options.
 //
 // DropNegativeCov (whose row set depends on the data) accumulates its Gram
-// matrix afresh on every call, and the dense-QR path caches nothing.
+// matrix afresh on every call. The dense-QR path keeps nothing across calls:
+// it groups the kept rows by support and factors them on every call, which
+// is cheaper in memory than caching a factor per component and, at ~5 % of
+// a 25-path component's solve, not worth caching the grouping for.
 //
 // Estimate is safe for concurrent use: the cached factor is built once under
 // an internal lock, and solves run against per-call workspaces.
@@ -94,7 +98,7 @@ func (p *Phase1) estimate(cov stats.CovView, workers int) ([]float64, error) {
 		return nil, fmt.Errorf("core: phase-1 equations: %w", err)
 	}
 	if p.dense {
-		return estimateDense(p.rm, cov, p.opts, workers)
+		return estimateDense(p.rm, cov, p.opts)
 	}
 	nc := p.rm.NumLinks()
 	rhs := make([]float64, nc)

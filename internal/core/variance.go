@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 
 	"lia/internal/linalg"
 	"lia/internal/par"
@@ -103,33 +104,27 @@ func shardWorkers(npairs int) int {
 	return min(runtime.GOMAXPROCS(0), (npairs+pairsPerShard-1)/pairsPerShard)
 }
 
-// estimateDense solves the Phase-1 system by materializing the usable
-// augmented rows and factoring them with a Householder QR — the paper's
-// reference method, used for systems within denseBudget.
-func estimateDense(rm *topology.RoutingMatrix, cov stats.CovView, opts VarianceOptions, workers int) ([]float64, error) {
+// estimateDense solves the Phase-1 system by Householder QR — the paper's
+// reference method, used for systems within denseBudget. Path pairs below
+// the same branch point share one support, so the augmented matrix A has
+// few distinct rows below its first nc; the solve stores each of them once
+// (linalg.SolveLeastSquaresRepeated), never materializes A, and returns
+// bitwise what the QR of A itself would.
+func estimateDense(rm *topology.RoutingMatrix, cov stats.CovView, opts VarianceOptions) ([]float64, error) {
 	nc := rm.NumLinks()
-	rows, rhs := collectEquations(rm, cov, opts, workers)
-	if len(rows) < nc {
+	eq := collectEquations(rm, cov, opts)
+	if len(eq.rhs) < nc {
 		return nil, fmt.Errorf("core: only %d usable covariance equations for %d links: %w",
-			len(rows), nc, ErrUnidentifiable)
+			len(eq.rhs), nc, ErrUnidentifiable)
 	}
-	augmented := func() *linalg.Dense {
-		a := linalg.NewDense(len(rows), nc)
-		for r, support := range rows {
-			for _, k := range support {
-				a.Set(r, int(k), 1)
-			}
-		}
-		return a
-	}
-	// A is built only for this solve, so it is factored in place.
-	v, err := linalg.SolveLeastSquaresInPlace(augmented(), rhs)
+	// The stored rows are built only for this solve, so they are factored
+	// in place.
+	v, err := linalg.SolveLeastSquaresRepeated(supportMatrix(eq.rows, nc), eq.of, eq.rhs)
 	if errors.Is(err, linalg.ErrRankDeficient) {
 		// Dropped equations (DropNegativeCov) can cost full column rank;
 		// fall back to the minimum-norm basic solution, which resolves only
-		// the identifiable directions and zeroes the rest. The failed solve
-		// overwrote A, so the fallback rebuilds it.
-		return linalg.NewPivotedQR(augmented()).SolveMinNorm(rhs), nil
+		// the identifiable directions and zeroes the rest. It needs A itself.
+		return linalg.NewPivotedQR(supportMatrix(eq.expanded(nc), nc)).SolveMinNorm(eq.rhs), nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("core: dense variance solve: %w", err)
@@ -137,49 +132,80 @@ func estimateDense(rm *topology.RoutingMatrix, cov stats.CovView, opts VarianceO
 	return v, nil
 }
 
-// collectEquations materializes the usable augmented rows (support views into
-// the cached pair index) and their adjusted right-hand sides, in canonical
-// pair order. The collection fans out over pair shards on up to workers
-// goroutines; shard results are concatenated in shard order, so the row
-// order is identical to the serial walk.
-func collectEquations(rm *topology.RoutingMatrix, cov stats.CovView, opts VarianceOptions, workers int) ([][]int32, []float64) {
-	npairs := rm.NumPairs()
-	if npairs == 0 {
-		return nil, nil
-	}
-	shards := (npairs + pairsPerShard - 1) / pairsPerShard
-	shardRows := make([][][]int32, shards)
-	shardRHS := make([][]float64, shards)
-	doShard := func(s int) {
-		lo := s * pairsPerShard
-		hi := min(lo+pairsPerShard, npairs)
-		var rows [][]int32
-		var rhs []float64
-		VisitPairsRange(rm, lo, hi, func(i, j int, support []int32) {
-			if len(support) == 0 {
-				return
+// equations holds the usable augmented rows of A, in canonical pair order,
+// stored by distinct row: rows holds the supports of A's first nc rows (the
+// QR's pivot rows) and then one support per distinct row below them, and
+// A's row nc+t is rows[nc+of[t]]. Supports are views into the cached pair
+// index.
+type equations struct {
+	rows [][]int32
+	of   []int32
+	rhs  []float64 // adjusted right-hand sides, one per row of A
+}
+
+// collectEquations walks the pair index once, keeping the equations the
+// negative-covariance policy keeps, and groups the rows below the first nc
+// by their support.
+func collectEquations(rm *topology.RoutingMatrix, cov stats.CovView, opts VarianceOptions) *equations {
+	nc, npairs := rm.NumLinks(), rm.NumPairs()
+	eq := &equations{rhs: make([]float64, 0, npairs), of: make([]int32, 0, max(npairs-nc, 0))}
+	first := make(map[uint64]int32) // support hash → its first row in rows
+	VisitPairs(rm, func(i, j int, support []int32) {
+		if len(support) == 0 {
+			return
+		}
+		sigma, keep := opts.adjust(cov.Cov(i, j))
+		if !keep {
+			return
+		}
+		eq.rhs = append(eq.rhs, sigma)
+		if len(eq.rhs) <= nc {
+			eq.rows = append(eq.rows, support)
+			return
+		}
+		h := supportHash(support)
+		r, ok := first[h]
+		// A hash collision only costs a second stored copy of a row.
+		if !ok || !slices.Equal(eq.rows[r], support) {
+			r = int32(len(eq.rows))
+			eq.rows = append(eq.rows, support)
+			if !ok {
+				first[h] = r
 			}
-			sigma, keep := opts.adjust(cov.Cov(i, j))
-			if !keep {
-				return
-			}
-			rows = append(rows, support)
-			rhs = append(rhs, sigma)
-		})
-		shardRows[s], shardRHS[s] = rows, rhs
+		}
+		eq.of = append(eq.of, r-int32(nc))
+	})
+	return eq
+}
+
+// supportHash is the 64-bit FNV-1a hash of a support's link indices.
+func supportHash(support []int32) uint64 {
+	h := uint64(14695981039346656037)
+	for _, k := range support {
+		h = (h ^ uint64(uint32(k))) * 1099511628211
 	}
-	par.Do(workers, shards, func(_, s int) { doShard(s) })
-	total := 0
-	for _, r := range shardRows {
-		total += len(r)
+	return h
+}
+
+// expanded returns the supports of every row of A, repeated rows included.
+func (eq *equations) expanded(nc int) [][]int32 {
+	rows := slices.Clone(eq.rows[:nc])
+	for _, t := range eq.of {
+		rows = append(rows, eq.rows[nc+int(t)])
 	}
-	rows := make([][]int32, 0, total)
-	rhs := make([]float64, 0, total)
-	for s := range shardRows {
-		rows = append(rows, shardRows[s]...)
-		rhs = append(rhs, shardRHS[s]...)
+	return rows
+}
+
+// supportMatrix returns the 0/1 matrix with one row per support.
+func supportMatrix(rows [][]int32, nc int) *linalg.Dense {
+	a := linalg.NewDense(len(rows), nc)
+	for r, support := range rows {
+		row := a.Row(r)
+		for _, k := range support {
+			row[k] = 1
+		}
 	}
-	return rows, rhs
+	return a
 }
 
 // accumulateRHSInto folds the adjusted right-hand sides AᵀΣ* of every kept

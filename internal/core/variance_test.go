@@ -333,20 +333,81 @@ func TestDenseRankDeficientFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, rhs := collectEquations(rm, cov, opts, 1)
-	a := linalg.NewDense(len(rows), rm.NumLinks())
-	for r, support := range rows {
-		for _, k := range support {
-			a.Set(r, int(k), 1)
-		}
-	}
+	eq := collectEquations(rm, cov, opts)
+	rhs := eq.rhs
+	a := supportMatrix(eq.expanded(rm.NumLinks()), rm.NumLinks())
 	if _, err := linalg.SolveLeastSquares(a, rhs); !errors.Is(err, linalg.ErrRankDeficient) {
-		t.Fatalf("%d×%d system: err = %v, want ErrRankDeficient", len(rows), rm.NumLinks(), err)
+		t.Fatalf("%d×%d system: err = %v, want ErrRankDeficient", len(rhs), rm.NumLinks(), err)
 	}
 	want := linalg.NewPivotedQR(a).SolveMinNorm(rhs)
 	for k := range want {
 		if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
 			t.Fatalf("link %d: %v, want %v", k, got[k], want[k])
+		}
+	}
+}
+
+// TestDenseRepeatedRowsMatchExpanded pins estimateDense, which stores each
+// distinct row of A once, to the least-squares solve of A itself, built
+// here straight from the pair index: the variances must agree to the bit,
+// under clamp and under drop (whose kept rows depend on the data, and whose
+// dropped rows may cost full rank, where both sides take the minimum-norm
+// fallback). Few snapshots make many covariances negative.
+func TestDenseRepeatedRowsMatchExpanded(t *testing.T) {
+	topologies := []struct {
+		name  string
+		paths func(rng *rand.Rand) []topology.Path
+	}{
+		{"tree-5", func(rng *rand.Rand) []topology.Path { return leafTree(rng, 5) }},
+		{"tree-25", func(rng *rand.Rand) []topology.Path { return leafTree(rng, 25) }},
+		{"tree-40", func(rng *rand.Rand) []topology.Path { return leafTree(rng, 40) }},
+		{"barabasi-albert", func(rng *rand.Rand) []topology.Path {
+			return meshPaths(rng, topogen.BarabasiAlbert(rng, 300, 2), 6)
+		}},
+		{"waxman", func(rng *rand.Rand) []topology.Path {
+			return meshPaths(rng, topogen.Waxman(rng, 200, 0.15, 0.2), 6)
+		}},
+	}
+	for ti, tc := range topologies {
+		rng := rand.New(rand.NewPCG(uint64(ti), 26))
+		rm, err := topology.Build(tc.paths(rng))
+		if err != nil {
+			t.Fatal(err)
+		}
+		truth := make([]float64, rm.NumLinks())
+		for k := range truth {
+			truth[k] = 1e-4 * rng.Float64()
+		}
+		cov := syntheticSnapshots(rng, rm, truth, 6)
+		for _, opts := range []VarianceOptions{{NegPolicy: ClampNegativeCov}, {NegPolicy: DropNegativeCov}} {
+			var rows [][]int32
+			var rhs []float64
+			VisitPairs(rm, func(i, j int, support []int32) {
+				if sigma, keep := opts.adjust(cov.Cov(i, j)); keep && len(support) > 0 {
+					rows = append(rows, support)
+					rhs = append(rhs, sigma)
+				}
+			})
+			nc := rm.NumLinks()
+			a := linalg.NewDense(len(rows), nc)
+			for r, support := range rows {
+				for _, k := range support {
+					a.Set(r, int(k), 1)
+				}
+			}
+			got, errg := estimateDense(rm, cov, opts)
+			want, errw := linalg.SolveLeastSquares(a, rhs)
+			if errors.Is(errw, linalg.ErrRankDeficient) && len(rows) >= nc {
+				want, errw = linalg.NewPivotedQR(a).SolveMinNorm(rhs), nil
+			}
+			if (errg == nil) != (errw == nil) {
+				t.Fatalf("%s %v: err %v, want %v", tc.name, opts.NegPolicy, errg, errw)
+			}
+			for k := range want {
+				if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+					t.Fatalf("%s %v (%d×%d): link %d = %v, want %v", tc.name, opts.NegPolicy, len(rows), nc, k, got[k], want[k])
+				}
+			}
 		}
 	}
 }

@@ -101,16 +101,19 @@ func BenchmarkCholeskySolveTo(b *testing.B) {
 // BenchmarkQRFactorize times NewQR on a Gaussian matrix, on the 600×600
 // 0/1 R* of a 600-leaf tree (the Phase-2 solve behind every inference on a
 // 600-path component) and on a 325×39 0/1 augmented matrix (the dense
-// Phase-1 solve of one 25-path component).
+// Phase-1 solve of one 25-path component). The last leg factors that
+// augmented matrix stored by its distinct rows, as Phase 1 does.
 func BenchmarkQRFactorize(b *testing.B) {
 	rng := rand.New(rand.NewPCG(100, 300))
+	rstar := treeRStar(rng, 220, 600)
+	aug := treeAugmented(rng, 14, 25)
 	for _, c := range []struct {
 		name string
 		a    *Dense
 	}{
 		{"gaussian512x256", benchMat(benchSize*2, benchSize)},
-		{"treeRStar600", treeRStar(rng, 220, 600)},
-		{"augmented325x39", treeAugmented(rng, 14, 25)},
+		{"treeRStar600", rstar},
+		{"augmented325x39", aug},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -119,4 +122,11 @@ func BenchmarkQRFactorize(b *testing.B) {
 			}
 		})
 	}
+	stored, of := foldRepeated(aug)
+	b.Run("augmented325x39repeated", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_ = factorQR(stored.Clone(), of)
+		}
+	})
 }

@@ -53,7 +53,7 @@ func NewPivotedQR(a *Dense) *PivotedQR {
 			exact[k], exact[best] = exact[best], exact[k]
 			f.perm[k], f.perm[best] = f.perm[best], f.perm[k]
 		}
-		f.tau[k] = houseColumn(f.qr, k, k)
+		f.tau[k] = houseColumn(f.qr, k, k, nil)
 		// Apply the reflector and downdate the column norms; recompute a
 		// norm when cancellation bites (LAPACK dgeqpf).
 		applyHouseLeft(f.qr, k, k, f.tau[k], k+1, w)

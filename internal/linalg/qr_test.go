@@ -280,7 +280,7 @@ func twoSweepQR(a *Dense) *QR {
 	f := &QR{qr: a.Clone(), tau: make([]float64, n), m: m, n: n}
 	w := make([]float64, n)
 	for k := 0; k < n; k++ {
-		f.tau[k] = houseColumn(f.qr, k, k)
+		f.tau[k] = houseColumn(f.qr, k, k, nil)
 		applyHouseLeft(f.qr, k, k, f.tau[k], k+1, w)
 	}
 	return f
@@ -428,10 +428,16 @@ func negateZeros(a *Dense) *Dense {
 	return a
 }
 
+type qrCase struct {
+	name string
+	a    *Dense
+}
+
 // TestQRMatchesTwoSweepBitwise pins NewQR's look-ahead kernel to the
 // textbook two-sweep factorization: the packed factor, tau and every Solve
 // result (or the rank-deficiency error and its column) must agree to the
-// bit, so swapping kernels cannot move any fingerprint.
+// bit, so swapping kernels cannot move any fingerprint. The same holds for
+// every input factored stored by its distinct rows (checkRepeatedBitwise).
 func TestQRMatchesTwoSweepBitwise(t *testing.T) {
 	rng := rand.New(rand.NewPCG(22, 600))
 	triangular := NewDenseFrom(4, 3, []float64{
@@ -467,10 +473,7 @@ func TestQRMatchesTwoSweepBitwise(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		zeroCol.Set(i, 1, 0)
 	}
-	cases := []struct {
-		name string
-		a    *Dense
-	}{
+	cases := []qrCase{
 		{"tree R* 600", treeRStar(rng, 220, 600)},
 		{"tree R* 37", treeRStar(rng, 12, 37)},
 		{"augmented 325x39", treeAugmented(rng, 14, 25)},
@@ -497,7 +500,29 @@ func TestQRMatchesTwoSweepBitwise(t *testing.T) {
 		{"2x2", randomDense(rng, 2, 2)},
 		{"5x2", randomDense(rng, 5, 2)},
 	}
+	// Repeated rows, the shape Phase 1 factors: the augmented matrices of
+	// trees of 5 to 40 leaves, and random 0/1 and −0-laden Gaussian
+	// matrices whose rows repeat, also among the pivot rows, with zero
+	// rows, a rank-deficient tree and square inputs with no row below the
+	// pivots. Every case is also factored stored by its distinct rows.
+	for leaves := 5; leaves <= 40; leaves++ {
+		internal := 1 + rng.IntN(leaves/2)
+		cases = append(cases, qrCase{fmt.Sprintf("tree %d leaves %d internal", leaves, internal), treeAugmented(rng, internal, leaves)})
+	}
+	for _, s := range [][3]int{{60, 8, 12}, {120, 20, 30}, {40, 12, 6}, {90, 15, 40}, {16, 16, 5}, {12, 12, 40}, {30, 1, 3}} {
+		cases = append(cases,
+			qrCase{fmt.Sprintf("0/1 pool %v", s), poolRows(rng, s[0], s[1], s[2], false)},
+			qrCase{fmt.Sprintf("gaussian pool %v -0", s), poolRows(rng, s[0], s[1], s[2], true)})
+	}
+	deficient := treeAugmented(rng, 10, 20)
+	for i := 0; i < deficient.rows; i++ {
+		deficient.Set(i, 7, deficient.At(i, 3)) // column 7 repeats column 3
+	}
+	cases = append(cases, qrCase{"rank-deficient tree", deficient})
 	for _, c := range cases {
+		if err := checkRepeatedBitwise(c.a, rng); err != nil {
+			t.Fatalf("%s, stored by distinct rows: %v", c.name, err)
+		}
 		m, n := c.a.Dims()
 		orig := c.a.Clone()
 		got, want := NewQR(c.a), twoSweepQR(c.a)
@@ -534,4 +559,106 @@ func TestQRMatchesTwoSweepBitwise(t *testing.T) {
 			}
 		}
 	}
+}
+
+// foldRepeated stores a by its distinct rows, the form
+// SolveLeastSquaresRepeated takes: a's first n rows, then one copy of each
+// distinct row below them in order of first appearance, with of mapping
+// every row below the first n to its copy.
+func foldRepeated(a *Dense) (*Dense, []int32) {
+	m, n := a.Dims()
+	seen := make(map[string]int32)
+	var dist [][]float64
+	of := make([]int32, 0, max(m-n, 0))
+	for i := n; i < m; i++ {
+		key := fmt.Sprint(a.Row(i))
+		for _, v := range a.Row(i) {
+			key += fmt.Sprint(math.Signbit(v)) // tell −0 from +0
+		}
+		t, ok := seen[key]
+		if !ok {
+			t = int32(len(dist))
+			seen[key] = t
+			dist = append(dist, a.Row(i))
+		}
+		of = append(of, t)
+	}
+	stored := NewDense(min(m, n)+len(dist), n)
+	copy(stored.data, a.data[:min(m, n)*n])
+	for t, r := range dist {
+		copy(stored.Row(n+t), r)
+	}
+	return stored, of
+}
+
+// checkRepeatedBitwise factors a stored by its distinct rows and compares
+// the result with the two-sweep factorization of a itself: the packed
+// factor row by row, tau, and the Solve results and errors of three random
+// right-hand sides, all to the bit.
+func checkRepeatedBitwise(a *Dense, rng *rand.Rand) error {
+	m, n := a.Dims()
+	stored, of := foldRepeated(a)
+	want := twoSweepQR(a)
+	got := factorQR(stored.Clone(), of)
+	if got.m != m || got.n != n {
+		return fmt.Errorf("factor is %d×%d, want %d×%d", got.m, got.n, m, n)
+	}
+	for i := 0; i < m; i++ {
+		row := got.qr.data[got.rowAt(i) : got.rowAt(i)+n]
+		for j, g := range row {
+			if w := want.qr.At(i, j); math.Float64bits(g) != math.Float64bits(w) {
+				return fmt.Errorf("factor (%d,%d) = %v, want %v", i, j, g, w)
+			}
+		}
+	}
+	for k := range want.tau {
+		if math.Float64bits(got.tau[k]) != math.Float64bits(want.tau[k]) {
+			return fmt.Errorf("tau[%d] = %v, want %v", k, got.tau[k], want.tau[k])
+		}
+	}
+	for trial := 0; trial < 3; trial++ {
+		b := randVec(rng, m)
+		xg, errg := got.Solve(b)
+		xw, errw := want.Solve(b)
+		xs, errs := SolveLeastSquaresRepeated(stored.Clone(), of, b)
+		if fmt.Sprint(errg) != fmt.Sprint(errw) || fmt.Sprint(errs) != fmt.Sprint(errw) {
+			return fmt.Errorf("errors %v / %v (SolveLeastSquaresRepeated), want %v", errg, errs, errw)
+		}
+		if errw != nil && !errors.Is(errg, ErrRankDeficient) {
+			return fmt.Errorf("error %v, want ErrRankDeficient", errg)
+		}
+		for j := range xw {
+			if math.Float64bits(xg[j]) != math.Float64bits(xw[j]) || math.Float64bits(xs[j]) != math.Float64bits(xw[j]) {
+				return fmt.Errorf("x[%d] = %v / %v (SolveLeastSquaresRepeated), want %v", j, xg[j], xs[j], xw[j])
+			}
+		}
+	}
+	return nil
+}
+
+// poolRows draws m rows of n columns with replacement from a pool of
+// distinct random rows: 0/1 rows when gauss is false, sparse Gaussian rows
+// with their zeros stored as −0 otherwise. The pool holds an all-zero row,
+// and rows repeat among the first n as well as below them.
+func poolRows(rng *rand.Rand, m, n, pool int, gauss bool) *Dense {
+	p := NewDense(pool, n)
+	for i := 1; i < pool; i++ {
+		for j := 0; j < n; j++ {
+			if rng.IntN(3) == 0 {
+				if gauss {
+					p.Set(i, j, rng.NormFloat64())
+				} else {
+					p.Set(i, j, 1)
+				}
+			}
+		}
+	}
+	if gauss {
+		negateZeros(p)
+	}
+	a := NewDense(m, n)
+	for i := 0; i < m; i++ {
+		copy(a.Row(i), p.Row(rng.IntN(pool)))
+	}
+	return a
 }

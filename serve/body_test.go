@@ -56,6 +56,8 @@ func TestMalformedBodiesFoldNothing(t *testing.T) {
 		{"/v1/snapshots", `{"y":` + vec(".5") + `}`, `invalid character '.'`},
 		{"/v1/snapshots", `{"y":` + vec("Inf") + `}`, `invalid character 'I'`},
 		{"/v1/snapshots", `{"y":` + vec("1e400") + `}`, `out of range`},
+		{"/v1/snapshots", `{"y":` + vec("-1e300") + `}`, `y[1] = -1e+300 is not a log rate`},
+		{"/v1/snapshots", `{"snapshots":[{"y":` + good + `},{"y":` + vec("745.5") + `}]}`, `snapshot 1: y[1] = 745.5 is not a log rate`},
 		{"/v1/snapshots", "\xef\xbb\xbf{\"y\":" + good + "}", `invalid character`},
 		{"/v1/snapshots", `{"frac":[0.9],"probes":1.5}`, `not an int`},
 		{"/v1/snapshots", `{"y":"-0.1"}`, `cannot decode string`},
@@ -65,6 +67,7 @@ func TestMalformedBodiesFoldNothing(t *testing.T) {
 		{"/v1/infer", `{"y":` + vec("null") + `}`, `y[1]: null element`},
 		{"/v1/infer", `{"y":` + good + `}{"y":` + good + `}`, `after top-level value`},
 		{"/v1/infer", `{"frac":[0.9]}]`, `after top-level value`},
+		{"/v1/infer", `{"y":` + vec("-1e300") + `}`, `is not a log rate`},
 	} {
 		code, raw := postRaw(t, ts.URL+tc.path, tc.body)
 		var e serve.ErrorResponse

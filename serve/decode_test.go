@@ -32,7 +32,8 @@ type oracleRequest struct {
 }
 
 // oracleVectors applies the payload rules to an oracle request on its own:
-// one inline snapshot or a batch, "y" as-is, "frac" through lia.LogRates.
+// one inline snapshot or a batch, "y" as-is within ±745, "frac" through
+// lia.LogRates.
 // It reports false where the handlers answer 400.
 func oracleVectors(o oracleRequest, probes int) ([][]float64, bool) {
 	snaps := o.Snapshots
@@ -51,6 +52,11 @@ func oracleVectors(o oracleRequest, probes int) ([][]float64, bool) {
 		case len(s.Y) > 0 && len(s.Frac) > 0:
 			return nil, false
 		case len(s.Y) > 0:
+			for _, v := range s.Y {
+				if v < -745 || v > 745 || v != v {
+					return nil, false
+				}
+			}
 			ys[i] = s.Y
 		case len(s.Frac) > 0:
 			n := probes
@@ -255,6 +261,8 @@ func decodeSeeds(tb testing.TB) [][]byte {
 		`{"y":[-0,0,-0.0,1E+2,1e-2]}`,
 		`{"y":[1e400]}`,
 		`{"y":[1e-400,4.9e-324]}`,
+		`{"y":[-745,745]}`,
+		`{"snapshots":[{"y":[-1]},{"y":[-745.0000000000001]}]}`,
 		`{"y":[123456789012345678901234567890.123456789e-5]}`,
 		`{"frac":[0.5],"probes":1e2}`,
 		`{"frac":[0.5],"probes":-0}`,

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"time"
 
@@ -16,7 +17,8 @@ import (
 // lia.LogRates using "probes" or the topology's configured probe count).
 //
 // The body contract: "y" and "frac" hold JSON numbers only, with no null
-// elements (a null would read as 0, a path that does not exist), and a
+// elements (a null would read as 0, a path that does not exist), every
+// "y" element lies within ±maxAbsLogRate, and a
 // unary request (POST /v1/infer, /v1/snapshots) carries exactly one JSON
 // value, followed by nothing but whitespace. Keys match case-insensitively
 // and unknown keys are ignored, as in encoding/json.
@@ -218,12 +220,19 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// writeJSON emits one JSON response body.
+// writeJSON emits one JSON response body. A value encoding/json refuses (a
+// NaN or an infinity) becomes a 500 with an ErrorResponse, not a status
+// line followed by an empty body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		code = http.StatusInternalServerError
+		b, _ = json.Marshal(ErrorResponse{Error: "serve: encode response: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
+	_, _ = w.Write(b)
+	_, _ = w.Write([]byte{'\n'})
 }
 
 // writeError maps an error to a status code and the ErrorResponse body.
@@ -259,6 +268,12 @@ func (s *Server) resolve(w http.ResponseWriter, r *http.Request) (*topo, bool) {
 	return tp, true
 }
 
+// maxAbsLogRate bounds the magnitude of a "y" element. The log of any
+// positive float64 lies within ±745, so every log rate, and every vector
+// lia.LogRates makes of "frac", fits; a larger value is no observation,
+// and one huge enough would overflow the cumulative moments for good.
+const maxAbsLogRate = 745
+
 // vector converts one snapshot payload to the engine's observation vector;
 // "frac" without "probes" converts with the given default probe count.
 func vector(p SnapshotPayload, probes int) ([]float64, error) {
@@ -266,6 +281,11 @@ func vector(p SnapshotPayload, probes int) ([]float64, error) {
 	case len(p.Y) > 0 && len(p.Frac) > 0:
 		return nil, errors.New(`"y" and "frac" are mutually exclusive`)
 	case len(p.Y) > 0:
+		for i, v := range p.Y {
+			if !(math.Abs(v) <= maxAbsLogRate) {
+				return nil, fmt.Errorf("y[%d] = %g is not a log rate: |y| must not exceed %d", i, v, maxAbsLogRate)
+			}
+		}
 		return p.Y, nil
 	case len(p.Frac) > 0:
 		if p.Probes > 0 {

@@ -455,3 +455,89 @@ func TestCollectorSourceReconnects(t *testing.T) {
 		t.Fatalf("address changed across reconnect: %s != %s", src.Addr(), addr)
 	}
 }
+
+// TestHugeSnapshotIsRejected posts a snapshot of huge finite values, which
+// would overflow the cumulative moments for good: it is a 400 that folds
+// nothing, and the server keeps learning and stays ready.
+func TestHugeSnapshotIsRejected(t *testing.T) {
+	_, rm, ts := newTestServer(t)
+	ys := testVectors(t, rm, 26, 31)
+	ingestAll(t, ts.URL, "/v1", ys[:30])
+
+	huge := make([]float64, rm.NumPaths())
+	for i := range huge {
+		huge[i] = -1e300
+	}
+	code, body := do(t, http.MethodPost, ts.URL+"/v1/snapshots", serve.IngestRequest{
+		SnapshotPayload: serve.SnapshotPayload{Y: huge},
+	})
+	var er serve.ErrorResponse
+	if code != http.StatusBadRequest || json.Unmarshal(body, &er) != nil || !strings.Contains(er.Error, "not a log rate") {
+		t.Fatalf("ingest of a huge snapshot: %d %s, want a 400 naming the value", code, body)
+	}
+	ingestAll(t, ts.URL, "/v1", ys[30:])
+	code, body = do(t, http.MethodGet, ts.URL+"/v1/links", nil)
+	var links serve.LinksResponse
+	if code != http.StatusOK || json.Unmarshal(body, &links) != nil || links.Epoch != 31 || links.Snapshots != 31 {
+		t.Fatalf("links after the rejected snapshot: %d %s, want epoch 31 of 31 snapshots", code, body)
+	}
+	// The test server's "lab" topology has learned nothing, so only it may
+	// keep /readyz from 200.
+	_, body = do(t, http.MethodGet, ts.URL+"/readyz", nil)
+	var ready serve.ReadyResponse
+	if json.Unmarshal(body, &ready) != nil || strings.Contains(strings.Join(ready.Reasons, ";"), "default") {
+		t.Fatalf("readyz after the rejected snapshot: %s, want the default topology ready", body)
+	}
+}
+
+// TestOverflowingSnapshotKeepsResponsesEncodable folds huge finite values
+// through the engine's own Ingest, which takes any finite vector, so the
+// cumulative moments overflow for good. The rebuild on them fails, and the
+// server keeps answering from the last good epoch with /readyz at 503,
+// never with a 200 and an empty body.
+func TestOverflowingSnapshotKeepsResponsesEncodable(t *testing.T) {
+	rm, err := lia.NewTopology(treePaths(2, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := lia.NewEngine(rm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := serve.New(serve.Config{RebuildEvery: -1, Logf: t.Logf})
+	if err := s.Add("default", serve.Topology{Engine: eng}); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	ys := testVectors(t, rm, 26, 31)
+	ingestAll(t, ts.URL, "/v1", ys[:30])
+	if code, body := do(t, http.MethodGet, ts.URL+"/v1/links", nil); code != http.StatusOK || !json.Valid(body) {
+		t.Fatalf("links before the overflow: %d %q", code, body)
+	}
+
+	huge := make([]float64, rm.NumPaths())
+	for i := range huge {
+		huge[i] = -1e300
+	}
+	if err := eng.Ingest(huge); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		code, body := do(t, http.MethodGet, ts.URL+"/v1/links", nil)
+		var links serve.LinksResponse
+		if code != http.StatusOK || json.Unmarshal(body, &links) != nil {
+			t.Fatalf("links after the overflow: %d %q", code, body)
+		}
+		if links.Epoch != 30 || links.Snapshots != 31 {
+			t.Fatalf("links after the overflow serve epoch %d of %d snapshots, want the last good epoch 30 of 31",
+				links.Epoch, links.Snapshots)
+		}
+	}
+	if code, body := do(t, http.MethodGet, ts.URL+"/readyz", nil); code != http.StatusServiceUnavailable {
+		t.Fatalf("readyz after the overflow: %d %s, want 503", code, body)
+	}
+	if code, body := do(t, http.MethodPost, ts.URL+"/v1/infer", serve.SnapshotPayload{Y: ys[30]}); code != http.StatusOK || !json.Valid(body) {
+		t.Fatalf("infer on the last good epoch: %d %q", code, body)
+	}
+}

@@ -8,6 +8,8 @@ package lia_test
 import (
 	"context"
 	"errors"
+	"math"
+	"slices"
 	"testing"
 
 	"lia"
@@ -215,5 +217,44 @@ func TestShardedColdStartIsNotAFailure(t *testing.T) {
 	}
 	if errors.Is(err, lia.ErrRebuildFailed) {
 		t.Fatalf("warm-up wrongly typed as rebuild failure: %v", err)
+	}
+}
+
+// TestShardedOverflowedComponentIsUnresolved overflows one component's
+// moments with huge finite observations from its first snapshot on: its
+// Phase-1 variances are not finite, so it never builds a state and only its
+// links come back Unresolved, while the healthy component keeps inferring
+// and every value served stays finite.
+func TestShardedOverflowedComponentIsUnresolved(t *testing.T) {
+	ctx := context.Background()
+	se, rm := twoComponentEngine(t, lia.WithShards(2))
+	overflowed := make([][]float64, len(correlated))
+	for i, y := range correlated {
+		overflowed[i] = slices.Clone(y)
+	}
+	overflowed[0] = []float64{-1e300, -1e300}
+	if err := se.IngestBatch(interleaveRows(correlated, overflowed)); err != nil {
+		t.Fatal(err)
+	}
+	res, err := se.Infer(ctx, []float64{-0.02, -0.03, -0.02, -0.01})
+	if err != nil {
+		t.Fatalf("one healthy component should carry the gather: %v", err)
+	}
+	bLinks := globalLinks(t, rm, 1001)
+	if !slices.Equal(res.Unresolved, slices.Sorted(slices.Values(bLinks))) {
+		t.Fatalf("Unresolved = %v, want the overflowed component's links %v", res.Unresolved, bLinks)
+	}
+	for k := range res.LossRates {
+		for _, v := range []float64{res.LossRates[k], res.LogRates[k], res.Variances[k]} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("link %d serves a non-finite value %v", k, v)
+			}
+		}
+	}
+	if aLinks := globalLinks(t, rm, 1); slices.Contains(res.Unresolved, aLinks[0]) {
+		t.Fatalf("healthy link %d is Unresolved", aLinks[0])
+	}
+	if stats := se.Stats(); stats.DegradedComponents != 1 || stats.RebuildFailures == 0 {
+		t.Fatalf("Stats = %+v, want exactly 1 failing component", stats)
 	}
 }
